@@ -126,7 +126,7 @@ void BM_GaussianDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_GaussianDecode)->Arg(2)->Arg(8)->Arg(32);
 
-// The observability layer rides every hot path (switch, link threads), so
+// The observability layer rides every hot path (switch, links), so
 // its primitives must stay in the low-nanosecond range.
 void BM_MetricsCounterInc(benchmark::State& state) {
   obs::MetricsRegistry registry;
@@ -179,9 +179,8 @@ void BM_MetricsSnapshotParse(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsSnapshotParse);
 
-// --- Wire path: legacy per-message reads/writes vs the batched
-// scatter-gather + bulk-decode path (DESIGN.md §8), over real loopback
-// TCP. One iteration moves a fixed batch of messages writer->reader;
+// --- Wire path: the batched scatter-gather + bulk-decode path
+// (DESIGN.md §8), over real loopback TCP. One iteration moves a fixed batch of messages writer->reader;
 // the batch is sized to stay inside the kernel socket buffers so a
 // single thread can write then read without deadlock.
 
@@ -201,7 +200,7 @@ struct WirePair {
   }
 };
 
-std::vector<MsgPtr> wire_batch_msgs(std::size_t payload) {
+std::vector<MsgPtr> wire_msgs(std::size_t payload) {
   // Keep a full batch under ~32 KB of in-flight bytes.
   const std::size_t n = std::max<std::size_t>(
       1, std::min<std::size_t>(kMaxWireBatch,
@@ -214,40 +213,15 @@ std::vector<MsgPtr> wire_batch_msgs(std::size_t payload) {
   return msgs;
 }
 
-void BM_WireRoundTripLegacy(benchmark::State& state) {
-  WirePair pair;
-  if (!pair.open()) {
-    state.SkipWithError("loopback pair failed");
-    return;
-  }
-  const auto msgs = wire_batch_msgs(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    for (const auto& m : msgs) {
-      if (!write_msg(*pair.client, *m)) {
-        state.SkipWithError("write failed");
-        return;
-      }
-    }
-    for (std::size_t i = 0; i < msgs.size(); ++i) {
-      benchmark::DoNotOptimize(read_msg(*pair.server));
-    }
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
-                          static_cast<i64>(msgs.size()));
-  state.SetBytesProcessed(
-      static_cast<i64>(state.iterations()) *
-      static_cast<i64>(msgs.size() * (state.range(0) + Msg::kHeaderSize)));
-}
-BENCHMARK(BM_WireRoundTripLegacy)->Arg(64)->Arg(1024)->Arg(65536);
-
 void BM_WireRoundTripBatched(benchmark::State& state) {
   WirePair pair;
   if (!pair.open()) {
     state.SkipWithError("loopback pair failed");
     return;
   }
-  const auto msgs = wire_batch_msgs(static_cast<std::size_t>(state.range(0)));
-  FrameReader reader(*pair.server);
+  const auto msgs = wire_msgs(static_cast<std::size_t>(state.range(0)));
+  SlabPool pool;
+  FrameReader reader(*pair.server, pool);
   for (auto _ : state) {
     if (!write_batch(*pair.client, msgs.data(), msgs.size())) {
       state.SkipWithError("write failed");

@@ -6,8 +6,9 @@
 //
 // What this measures — the resource budgets the reactor exists to fix:
 //   * OS threads: one engine thread per node + the fixed reactor pool,
-//     INDEPENDENT of the node×peer count (legacy mode needs two more
-//     threads per link per side, ~5x the process total at fanout 8).
+//     INDEPENDENT of the node×peer count (the paper's thread-per-link
+//     design needs two more threads per link per side, ~5x the process
+//     total at fanout 8).
 //   * open fds: listener + wake eventfd + one socket per link end.
 //   * VmRSS per node.
 // plus delivery: distinct messages and corruption at the leaf sinks
@@ -246,8 +247,8 @@ int main(int argc, char** argv) {
   // --- Budgets ---------------------------------------------------------------
   bool fail = false;
   // Zero per-link threads: one engine thread per node, the fixed pool,
-  // and slack for the observer-retry machinery. Legacy mode would need
-  // +4 threads per tree edge and blow through this immediately.
+  // and slack for the observer-retry machinery. A thread per link end
+  // would add 4 threads per tree edge and blow through this immediately.
   const std::size_t thread_budget = nodes_n + 16;
   if (threads > thread_budget) {
     std::fprintf(stderr, "FAIL: %zu threads > budget %zu\n", threads,

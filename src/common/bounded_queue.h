@@ -1,5 +1,5 @@
 // Thread-safe bounded circular queue — the shared buffer between the
-// engine thread and its receiver/sender threads (paper §2.2).
+// engine thread and a peer link (paper §2.2's receiver/sender buffers).
 //
 // The paper's design deliberately has exactly one reader and one writer
 // per buffer ("we adopt such a design to avoid the complex wait/signal
@@ -7,11 +7,11 @@
 // reader or writer threads"), but the queue itself is written to be safe
 // for any number of each so tests can abuse it freely.
 //
-// Blocking semantics match the paper:
-//   * a receiver thread pushing into a full buffer sleeps until the engine
-//     drains it (back-pressure toward the upstream TCP connection);
-//   * a sender thread popping from an empty buffer sleeps until the engine
-//     signals it by pushing.
+// Blocking semantics match the paper's receiver and sender threads (peer
+// links use the non-blocking try_* forms and park on the reactor instead):
+//   * a pusher into a full buffer sleeps until the consumer drains it
+//     (back-pressure toward the upstream TCP connection);
+//   * a popper from an empty buffer sleeps until a producer pushes.
 // close() releases all sleepers; subsequent pushes fail and pops drain the
 // remaining elements then fail, which is how graceful teardown proceeds.
 #pragma once

@@ -82,54 +82,6 @@ struct EngineConfig {
   /// the stall from the other side (window below one MSS).
   int socket_buffer_bytes = 256 * 1024;
 
-  /// Maximum messages a sender thread drains from its buffer and flushes
-  /// to the wire in one scatter-gather batch (DESIGN.md §8). Pacing stays
-  /// per-message: a batch is split and flushed at every throttle boundary,
-  /// so bandwidth emulation is unaffected. 1 restores the per-message
-  /// write path (still a single writev per message).
-  std::size_t wire_batch_msgs = 32;
-
-  /// Receiver threads decode frames in bulk via net::FrameReader (one
-  /// recv syscall yields many messages, payloads are zero-copy slices of
-  /// the chunk). false restores the legacy read_msg path: two recv
-  /// syscalls and one allocation per message. The wire format is
-  /// identical either way, so mixed settings interoperate.
-  bool wire_bulk_reader = true;
-
-  /// Frames larger than the reader chunk are recv'd directly into
-  /// recycled slabs from the engine's SlabPool — zero payload copies and
-  /// zero per-message payload allocations on the large-frame path
-  /// (DESIGN.md §8; iov_pool_slab_acquires_total tracks hit rate).
-  /// false restores the per-message dedicated allocation, the legacy
-  /// interop baseline. Only meaningful with wire_bulk_reader.
-  bool wire_payload_pool = true;
-
-  /// When > 0, sender flushes that contain a frame with at least this
-  /// many payload bytes are sent with MSG_ZEROCOPY: the kernel transmits
-  /// straight from the message buffers (pinned until the error-queue
-  /// completion is reaped) instead of copying into the socket buffer.
-  /// Worthwhile for ≥16 KB frames on real NICs; loopback always degrades
-  /// to an internal copy (the completion reports it, counted in
-  /// iov_link_zerocopy_copied_total), so the default is off. Falls back
-  /// to plain sends automatically when the kernel lacks SO_ZEROCOPY or
-  /// signals ENOBUFS. Wire bytes are identical either way.
-  std::size_t wire_zerocopy_min_bytes = 0;
-
-  /// Size of the shared epoll reactor pool driving every PeerLink socket
-  /// (DESIGN.md §9). The pool is process-wide — the first engine started
-  /// fixes its size, and all reactor-mode engines in the process share
-  /// it, so total OS threads are `pool + one engine thread per node`
-  /// regardless of how many links exist.
-  ///   < 0  auto: min(4, hardware_concurrency) workers (the default)
-  ///     0  legacy thread-per-link mode (two blocking threads per peer
-  ///        connection) — the interop/rollback baseline
-  ///   > 0  exactly this many workers
-  /// Reactor and legacy nodes interoperate freely: the wire bytes are
-  /// identical, only the threading model differs. Note the reactor send
-  /// path ignores wire_zerocopy_min_bytes (MSG_ZEROCOPY completion
-  /// reaping needs a dedicated sender thread to be worth it).
-  int reactor_threads = -1;
-
   /// When set, kTrace output is appended to this local file *instead of*
   /// being sent to the observer ("if the volume of traces becomes large,
   /// it may be more favorable to log them locally at each node, in which

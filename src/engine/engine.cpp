@@ -41,8 +41,11 @@ Engine::Engine(EngineConfig config, std::unique_ptr<Algorithm> algorithm)
       traces_sent_(metrics_.counter(obs::names::kEngineTracesTotal)),
       link_closes_(metrics_.counter(obs::names::kEngineLinkClosesTotal)),
       link_failures_(metrics_.counter(obs::names::kEngineLinkFailuresTotal)),
-      engine_threads_(metrics_.gauge(obs::names::kEngineThreads)),
-      engine_open_fds_(metrics_.gauge(obs::names::kEngineOpenFds)) {
+      engine_open_fds_(metrics_.gauge(obs::names::kEngineOpenFds)),
+      reactor_(reactor::Reactor::shared()) {
+  // The engine thread is the only OS thread a node owns; its links run on
+  // the process-shared reactor pool.
+  metrics_.gauge(obs::names::kEngineThreads).set(1);
   // Register the reactor lag histogram up front so every node's kReport
   // carries the metric even before its first link exists.
   metrics_.histogram(obs::names::kReactorLoopLagSeconds);
@@ -66,17 +69,11 @@ bool Engine::start() {
   // A process hosting many nodes needs an fd per link; lift the soft
   // RLIMIT_NOFILE to the hard cap before the first socket is made.
   const u64 fd_cap = raise_nofile_limit();
-  if (config_.reactor_threads != 0) {
-    reactor_ = &reactor::Reactor::shared(config_.reactor_threads);
-  }
   static std::once_flag boot_log_once;
   std::call_once(boot_log_once, [&] {
-    IOV_LOG_INFO("engine") << "socket path: "
-                           << (reactor_ != nullptr
-                                   ? strf("shared epoll reactor, %d worker(s)",
-                                          reactor_->threads())
-                                   : std::string("legacy thread-per-link"))
-                           << "; fd cap " << fd_cap;
+    IOV_LOG_INFO("engine") << "socket path: shared epoll reactor, "
+                           << reactor_.threads() << " worker(s); fd cap "
+                           << fd_cap;
   });
   auto listener = TcpListener::listen(config_.port, config_.loopback_only,
                                       128, config_.socket_buffer_bytes);
@@ -326,9 +323,7 @@ void Engine::adopt_persistent(const NodeId& peer, TcpConn conn) {
   }
   auto link = std::make_unique<PeerLink>(
       self_, peer, std::move(conn), config_, bandwidth_, *clock_, *this,
-      metrics_, config_.wire_payload_pool ? &slab_pool_ : nullptr,
-      reactor_ != nullptr ? &reactor_->pick() : nullptr,
-      /*dial_pending=*/false);
+      metrics_, slab_pool_, reactor_.pick(), /*dial_pending=*/false);
   PeerLink* raw = link.get();
   {
     std::lock_guard<std::mutex> lock(state_mu_);
@@ -360,38 +355,26 @@ void Engine::remove_link(const NodeId& peer) {
 
 PeerLink* Engine::get_or_dial(const NodeId& dest) {
   if (PeerLink* existing = find_link(dest)) return existing;
-  if (reactor_ != nullptr) {
-    // Reactor path: non-blocking connect. The link exists immediately
-    // (messages queue into its send buffer); the worker completes the
-    // TCP handshake + hello asynchronously, and a failed connect surfaces
-    // as kPeerFailed -> the usual kBrokenLink teardown.
-    auto conn = TcpConn::connect_start(dest, config_.socket_buffer_bytes);
-    if (!conn) {
-      if (errno == EMFILE || errno == ENFILE) log_fd_exhaustion("dial");
-      return nullptr;
-    }
-    auto link = std::make_unique<PeerLink>(
-        self_, dest, std::move(*conn), config_, bandwidth_, *clock_, *this,
-        metrics_, config_.wire_payload_pool ? &slab_pool_ : nullptr,
-        &reactor_->pick(), /*dial_pending=*/true);
-    PeerLink* raw = link.get();
-    {
-      std::lock_guard<std::mutex> lock(state_mu_);
-      links_[dest] = std::move(link);
-    }
-    rr_dirty_ = true;
-    raw->start();
-    return raw;
-  }
-  auto conn = TcpConn::connect(dest, config_.connect_timeout,
-                               config_.socket_buffer_bytes);
+  // Non-blocking connect. The link exists immediately (messages queue
+  // into its send buffer); the worker completes the TCP handshake + hello
+  // asynchronously, and a failed connect surfaces as kPeerFailed -> the
+  // usual kBrokenLink teardown.
+  auto conn = TcpConn::connect_start(dest, config_.socket_buffer_bytes);
   if (!conn) {
     if (errno == EMFILE || errno == ENFILE) log_fd_exhaustion("dial");
     return nullptr;
   }
-  if (!write_hello(*conn, Hello{ConnKind::kPersistent, self_})) return nullptr;
-  adopt_persistent(dest, std::move(*conn));
-  return find_link(dest);
+  auto link = std::make_unique<PeerLink>(
+      self_, dest, std::move(*conn), config_, bandwidth_, *clock_, *this,
+      metrics_, slab_pool_, reactor_.pick(), /*dial_pending=*/true);
+  PeerLink* raw = link.get();
+  {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    links_[dest] = std::move(link);
+  }
+  rr_dirty_ = true;
+  raw->start();
+  return raw;
 }
 
 // --- Dispatch -------------------------------------------------------------------
@@ -623,14 +606,8 @@ void Engine::run_periodic() {
       }
     }
 
-    // Resource-budget gauges (docs/METRICS.md). Threads: the engine
-    // thread, plus two per link only in legacy mode — the whole point of
-    // the reactor is that this gauge stays flat as links grow (the shared
-    // pool is process-wide and not attributable to one node). Fds: the
-    // listener, the wake eventfd, one per link, plus observer/proxy/
-    // control connections.
-    engine_threads_.set(static_cast<i64>(
-        1 + (reactor_ != nullptr ? 0 : 2 * rates.size())));
+    // Resource-budget gauge (docs/METRICS.md): the listener, the wake
+    // eventfd, one per link, plus observer/proxy/control connections.
     std::size_t fds = 2 + rates.size() + control_conns_.size();
     if (observer_conn_) ++fds;
     if (proxy_conn_) ++fds;
@@ -821,13 +798,13 @@ bool Engine::pump_link_slot(const NodeId& peer) {
   switch_batch_.clear();
   const std::size_t popped = link->recv_buffer().try_pop_batch(
       switch_batch_, weight > 0 ? static_cast<std::size_t>(weight) : 0);
-  // Reactor mode: a reader parked on this (previously full) buffer can
-  // resume now — kick it before processing so decode overlaps the switch.
+  // A reader parked on this (previously full) buffer can resume now —
+  // kick it before processing so decode overlaps the switch.
   if (popped > 0) link->notify_recv_space();
   for (std::size_t w = 0; w < popped; ++w) {
     Inbound& in = switch_batch_[w];
-    // Switch latency (paper Fig. 5): receiver-thread enqueue to switch
-    // dequeue, covering the time the message sat in the receive buffer.
+    // Switch latency (paper Fig. 5): link enqueue to switch dequeue,
+    // covering the time the message sat in the receive buffer.
     const TimePoint t0 = clock_->now();
     switch_latency_.observe(to_seconds(t0 - in.enqueued_at));
     // Data-plane only: a peer is an "upstream" for an app when it feeds

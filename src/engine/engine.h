@@ -8,8 +8,8 @@
 //     periodic QoS reports, and runs the switch — which is the only place
 //     Algorithm::process() is ever invoked, giving algorithms the paper's
 //     single-threaded guarantee;
-//   * one receiver + one sender thread per persistent peer connection
-//     (see peer_link.h).
+//   * no thread of its own per peer connection: every PeerLink is a state
+//     machine on the process-shared epoll reactor (see peer_link.h).
 //
 // The switch pulls messages from input slots (each upstream link's
 // receive buffer, plus one virtual slot per locally deployed application
@@ -168,7 +168,7 @@ class Engine final : public EngineApi, public InternalSink {
     Outbox outbox;
   };
 
-  // InternalSink (called from link threads).
+  // InternalSink (called from reactor workers).
   void wake() override;
 
   void engine_main();
@@ -214,16 +214,14 @@ class Engine final : public EngineApi, public InternalSink {
   obs::Counter& traces_sent_;
   obs::Counter& link_closes_;    ///< deliberate teardowns (close_link/sever)
   obs::Counter& link_failures_;  ///< crash detections (EOF, error, timeout)
-  obs::Gauge& engine_threads_;   ///< OS threads this node owns (not the pool)
   obs::Gauge& engine_open_fds_;  ///< fds this node holds open
 
   NodeId self_;
   TcpListener listener_;
   TimePoint start_time_ = 0;
 
-  /// The process-shared epoll pool (DESIGN.md §9); null when
-  /// config.reactor_threads == 0 (legacy thread-per-link mode).
-  reactor::Reactor* reactor_ = nullptr;
+  /// The process-shared epoll pool that drives every link (DESIGN.md §9).
+  reactor::Reactor& reactor_;
 
   /// While now() < this, the listener is left out of the poll set —
   /// fd-exhaustion backoff (EMFILE/ENFILE on accept). Engine thread only.
@@ -278,7 +276,7 @@ class Engine final : public EngineApi, public InternalSink {
   TimePoint next_throughput_ = 0;
   TimePoint next_observer_retry_ = 0;
 
-  // Internal message queue (link threads -> engine thread).
+  // Internal message queue (reactor workers -> engine thread).
   std::mutex internal_mu_;
   std::deque<MsgPtr> internal_q_;
   Fd wake_fd_;

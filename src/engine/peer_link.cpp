@@ -1,9 +1,10 @@
 #include "engine/peer_link.h"
 
-#include <algorithm>
+#include <sys/epoll.h>
 
-#include "common/logging.h"
-#include "engine/reactor_link.h"
+#include <algorithm>
+#include <array>
+
 #include "obs/metric_names.h"
 
 namespace iov::engine {
@@ -21,36 +22,20 @@ const std::vector<double>& flush_bounds() {
 }
 }  // namespace
 
-bool InterruptibleSleeper::sleep(Duration d) {
-  if (d <= 0) return true;
-  std::unique_lock<std::mutex> lock(mu_);
-  return !cv_.wait_for(lock, std::chrono::nanoseconds(d),
-                       [&] { return interrupted_; });
-}
-
-void InterruptibleSleeper::interrupt() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    interrupted_ = true;
-  }
-  cv_.notify_all();
-}
-
 PeerLink::PeerLink(NodeId self, NodeId peer, TcpConn conn,
                    const EngineConfig& config, BandwidthEmulator& bandwidth,
                    const Clock& clock, InternalSink& sink,
-                   obs::MetricsRegistry& metrics, SlabPool* pool,
-                   reactor::Worker* worker, bool dial_pending)
+                   obs::MetricsRegistry& metrics, SlabPool& pool,
+                   reactor::Worker& worker, bool dial_pending)
     : self_(self),
       peer_(peer),
       conn_(std::move(conn)),
-      wire_batch_msgs_(std::max<std::size_t>(config.wire_batch_msgs, 1)),
-      wire_bulk_reader_(config.wire_bulk_reader),
-      pool_(pool),
-      zerocopy_min_bytes_(config.wire_zerocopy_min_bytes),
       bandwidth_(bandwidth),
       clock_(clock),
       sink_(sink),
+      worker_(worker),
+      dial_pending_(dial_pending),
+      connect_timeout_(config.connect_timeout),
       recv_buffer_(config.recv_buffer_msgs),
       send_buffer_(config.send_buffer_msgs),
       up_bytes_(metrics.counter(obs::names::kLinkBytesTotal,
@@ -83,26 +68,14 @@ PeerLink::PeerLink(NodeId self, NodeId peer, TcpConn conn,
       down_flush_msgs_(metrics.histogram(obs::names::kLinkFlushMsgs,
                                          link_labels(peer, "down"),
                                          flush_bounds())),
-      zc_sends_(metrics.counter(obs::names::kLinkZerocopySendsTotal,
-                                link_labels(peer, "down"))),
-      zc_completions_(metrics.counter(obs::names::kLinkZerocopyCompletionsTotal,
-                                      link_labels(peer, "down"))),
-      zc_copied_(metrics.counter(obs::names::kLinkZerocopyCopiedTotal,
-                                 link_labels(peer, "down"))),
-      zc_fallbacks_(metrics.counter(obs::names::kLinkZerocopyFallbacksTotal,
-                                    link_labels(peer, "down"))),
+      loop_lag_(metrics.histogram(obs::names::kReactorLoopLagSeconds)),
       loss_rng_((static_cast<u64>(self.ip()) << 32) ^
-                (static_cast<u64>(peer.ip()) << 16) ^ peer.port()) {
+                (static_cast<u64>(peer.ip()) << 16) ^ peer.port()),
+      reader_(conn_, pool) {
   metrics.gauge(obs::names::kLinkQueueCapacity, link_labels(peer, "up"))
       .set(static_cast<i64>(recv_buffer_.capacity()));
   metrics.gauge(obs::names::kLinkQueueCapacity, link_labels(peer, "down"))
       .set(static_cast<i64>(send_buffer_.capacity()));
-  if (worker != nullptr) {
-    rlink_ = std::make_unique<ReactorLink>(
-        *this, *worker,
-        metrics.histogram(obs::names::kReactorLoopLagSeconds),
-        dial_pending, config.connect_timeout);
-  }
 }
 
 PeerLink::~PeerLink() {
@@ -110,294 +83,50 @@ PeerLink::~PeerLink() {
   join();
 }
 
+// --- Engine-thread API ------------------------------------------------------
+
 void PeerLink::start() {
-  if (rlink_) {
-    rlink_->start();
-    return;
-  }
-  receiver_ = std::thread([this] { receiver_main(); });
-  sender_ = std::thread([this] { sender_main(); });
+  worker_.submit([this] { ws_start(); }, &loop_lag_);
 }
 
 void PeerLink::stop() {
-  bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true)) return;
+  if (stopping_.exchange(true)) return;
   recv_buffer_.close();
   send_buffer_.close();
-  recv_sleeper_.interrupt();
-  send_sleeper_.interrupt();
-  // Shutting down (not closing) the socket wakes any blocked read/write in
-  // the link threads without racing descriptor reuse.
+  // Shutting down (not closing) the socket sends the peer its EOF at once
+  // without racing descriptor reuse: the worker still holds the fd until
+  // the teardown task below deregisters it.
   conn_.shutdown_both();
-  if (rlink_) rlink_->request_stop();
+  // FIFO task order is the teardown guarantee: every notify task submitted
+  // before this one runs first, so after this task no worker code touches
+  // the link.
+  worker_.submit([this] {
+    detach();
+    std::lock_guard<std::mutex> lock(stop_mu_);
+    stopped_ = true;
+    stop_cv_.notify_all();  // under the lock: the waiter may destroy us
+  });
 }
 
 void PeerLink::join() {
-  if (rlink_) {
-    rlink_->wait_stopped();
-    return;
-  }
-  if (receiver_.joinable()) receiver_.join();
-  if (sender_.joinable()) sender_.join();
+  if (!stopping_.load()) return;
+  std::unique_lock<std::mutex> lock(stop_mu_);
+  stop_cv_.wait(lock, [&] { return stopped_; });
 }
 
 void PeerLink::notify_send() {
-  if (rlink_) rlink_->notify_send();
+  if (send_scheduled_.exchange(true)) return;
+  worker_.submit(
+      [this] {
+        send_scheduled_.store(false);
+        pump_send();
+      },
+      &loop_lag_);
 }
 
 void PeerLink::notify_recv_space() {
-  if (rlink_) rlink_->notify_recv_space();
-}
-
-void PeerLink::receiver_main() {
-  FrameReader reader(conn_, FrameReader::kDefaultChunkBytes, pool_);
-  u64 seen_syscalls = 0;   // reader.syscalls() already accounted
-  u64 refill_msgs = 0;     // frames decoded since the last recv refill
-  std::vector<Inbound> inbound;  // decoded data frames awaiting one push
-  // Hand the accumulated frames to the switch in one queue operation and
-  // one engine wake. A short count means the buffer was closed (teardown).
-  const auto flush_inbound = [&] {
-    if (inbound.empty()) return true;
-    const bool ok = recv_buffer_.push_batch(inbound) == inbound.size();
-    inbound.clear();
-    if (!ok) return false;
-    recv_depth_.set(static_cast<i64>(recv_buffer_.size()));
-    sink_.wake();
-    return true;
-  };
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    MsgPtr m = wire_bulk_reader_ ? reader.next() : read_msg(conn_);
-    if (wire_bulk_reader_) {
-      const u64 s = reader.syscalls();
-      if (s != seen_syscalls) {
-        // The reader went back to the socket, so the frames decoded since
-        // the previous refill formed one bulk batch.
-        if (refill_msgs > 0) {
-          up_flush_msgs_.observe(static_cast<double>(refill_msgs));
-        }
-        up_syscalls_.inc(s - seen_syscalls);
-        seen_syscalls = s;
-        refill_msgs = 0;
-      }
-      if (m) ++refill_msgs;
-    } else if (m) {
-      // Legacy path: one recv for the header, one for the payload.
-      up_syscalls_.inc(m->payload_size() > 0 ? 2 : 1);
-      up_flush_msgs_.observe(1.0);
-    }
-    if (!m) {
-      flush_inbound();  // deliver what already decoded before failing
-      if (!stopping_.load(std::memory_order_relaxed)) {
-        failed_.store(true, std::memory_order_relaxed);
-        sink_.post(Msg::control(MsgType::kPeerFailed, peer_, kControlApp));
-      }
-      return;
-    }
-
-    // Download-side bandwidth emulation: pace before the message becomes
-    // visible. While we sleep (or block on a full buffer below) the kernel
-    // receive window fills and TCP pushes back on the sender — exactly the
-    // "back pressure" of §2.4. A non-zero wait is a pacing boundary:
-    // everything decoded so far becomes visible before we sleep, so
-    // batching never delays a message past its emulated arrival time.
-    const Duration wait =
-        bandwidth_.acquire_recv(peer_, m->wire_size(), clock_.now());
-    if (wait > 0) {
-      if (!flush_inbound()) return;
-      recv_throttle_wait_.observe_duration(wait);
-      if (!recv_sleeper_.sleep(wait)) return;
-    }
-    up_meter_.record(m->wire_size(), clock_.now());
-    up_bytes_.inc(m->wire_size());
-    up_msgs_.inc();
-
-    if (m->type() == MsgType::kData) {
-      inbound.push_back(Inbound{std::move(m), clock_.now()});
-      // Keep accumulating only while the reader can hand out more frames
-      // without going back to the socket; flush before any blocking read
-      // so the switch never waits on delivered-but-unpushed messages.
-      if (!wire_bulk_reader_ || inbound.size() >= wire_batch_msgs_ ||
-          !reader.buffered()) {
-        if (!flush_inbound()) return;  // closed: teardown
-      }
-    } else {
-      // Protocol/control traffic bypasses the data buffers so it cannot be
-      // starved by a congested data plane (flush first to preserve arrival
-      // order between the two planes).
-      if (!flush_inbound()) return;
-      sink_.post(std::move(m));
-    }
-  }
-  flush_inbound();
-}
-
-void PeerLink::sender_main() {
-  if (zerocopy_min_bytes_ > 0) {
-    // Opt in once; if the kernel refuses, every flush simply stays on the
-    // plain write_batch path.
-    zerocopy_enabled_ = conn_.enable_zerocopy();
-  }
-  std::vector<MsgPtr> batch;
-  std::vector<MsgPtr> pending;  // pacing-cleared, awaiting one flush
-  bool running = true;
-  while (running) {
-    batch.clear();
-    if (send_buffer_.pop_batch(batch, wire_batch_msgs_) == 0) break;
-    send_depth_.set(static_cast<i64>(send_buffer_.size()));
-    pending.clear();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      MsgPtr& m = batch[i];
-      const u32 loss_ppm = send_loss_ppm_.load(std::memory_order_relaxed);
-      if (loss_ppm > 0 && loss_rng_.below(1000000) < loss_ppm) {
-        // Injected wire loss (kSetLoss): the message vanishes before
-        // pacing, accounted like any other sender-side drop.
-        count_send_loss(*m);
-        sink_.wake();
-        continue;
-      }
-      const Duration wait =
-          bandwidth_.acquire_send(peer_, m->wire_size(), clock_.now());
-      if (wait > 0) {
-        // Pacing boundary: everything accumulated so far cleared the
-        // token bucket with zero wait, so flush it before sleeping.
-        // Batching therefore never shifts a message past its emulated
-        // departure time.
-        if (!flush_pending(pending)) {
-          for (std::size_t j = i; j < batch.size(); ++j) {
-            count_send_loss(*batch[j]);
-          }
-          running = false;
-          break;
-        }
-        send_throttle_wait_.observe_duration(wait);
-        if (!send_sleeper_.sleep(wait)) {
-          // Interrupted mid-teardown: account the remainder as lost.
-          for (std::size_t j = i; j < batch.size(); ++j) {
-            count_send_loss(*batch[j]);
-          }
-          running = false;
-          break;
-        }
-      }
-      pending.push_back(std::move(m));
-    }
-    if (running && !flush_pending(pending)) running = false;
-  }
-  // Drain whatever remains so engine-side pushes never wedge, and count it
-  // as loss ("the number of bytes (or messages) lost due to failures").
-  batch.clear();
-  while (send_buffer_.try_pop_batch(batch, wire_batch_msgs_) > 0) {
-    for (const auto& rest : batch) count_send_loss(*rest);
-    batch.clear();
-  }
-  // Bounded teardown drain of outstanding zerocopy completions: give the
-  // kernel a moment to finish transmitting from our buffers before they
-  // are released. Past the deadline the records are dropped regardless —
-  // the connection is already down, and the kernel holds its own page
-  // references, so freeing early can at worst garble a dead stream's
-  // final bytes, never this process's memory.
-  for (int spins = 0; !zc_inflight_.empty() && spins < 50; ++spins) {
-    reap_zerocopy_completions();
-    if (zc_inflight_.empty()) break;
-    if (!send_sleeper_.sleep(millis(1))) break;
-  }
-  zc_inflight_.clear();
-}
-
-void PeerLink::reap_zerocopy_completions() {
-  if (zc_inflight_.empty()) return;
-  zc_ranges_.clear();
-  if (conn_.reap_zerocopy(zc_ranges_) == 0) return;
-  for (const auto& r : zc_ranges_) {
-    const u32 count = r.hi - r.lo + 1;  // wrapping-safe id arithmetic
-    zc_completions_.inc(count);
-    if (r.copied) zc_copied_.inc(count);
-    // TCP completions arrive in send order, so every record whose last id
-    // is at or below the range's high end is fully transmitted. The
-    // signed-difference compare handles 32-bit id wraparound.
-    while (!zc_inflight_.empty() &&
-           static_cast<i32>(r.hi - zc_inflight_.front().hi) >= 0) {
-      zc_inflight_.pop_front();
-    }
-  }
-}
-
-bool PeerLink::flush_pending(std::vector<MsgPtr>& pending) {
-  if (pending.empty()) return true;
-  // Zerocopy is worth the page-pinning bookkeeping only when the flush
-  // actually carries a large frame; small flushes stay on the copy path
-  // (cheaper than a pin + completion round-trip per send).
-  bool use_zc = false;
-  if (zerocopy_enabled_) {
-    for (const auto& m : pending) {
-      if (m->payload_size() >= zerocopy_min_bytes_) {
-        use_zc = true;
-        break;
-      }
-    }
-  }
-  if (use_zc) {
-    reap_zerocopy_completions();
-    // Completions lagging far behind sends means unbounded pinned memory;
-    // pause briefly for the kernel to catch up before pinning more.
-    for (int spins = 0;
-         zc_inflight_.size() >= kZcInFlightWatermark && spins < 100; ++spins) {
-      if (!send_sleeper_.sleep(millis(1))) break;
-      reap_zerocopy_completions();
-    }
-  }
-  u64 syscalls = 0;
-  u64 zc_calls = 0;
-  std::vector<codec::HeaderBytes> headers;
-  const bool ok =
-      use_zc ? write_batch_zerocopy(conn_, pending.data(), pending.size(),
-                                    headers, &syscalls, &zc_calls)
-             : write_batch(conn_, pending.data(), pending.size(), &syscalls);
-  down_syscalls_.inc(syscalls);
-  if (use_zc) {
-    zc_sends_.inc(zc_calls);
-    if (syscalls > zc_calls) zc_fallbacks_.inc(syscalls - zc_calls);
-  }
-  if (!ok) {
-    for (const auto& m : pending) count_send_loss(*m);
-    pending.clear();
-    if (!stopping_.load(std::memory_order_relaxed)) {
-      failed_.store(true, std::memory_order_relaxed);
-      sink_.post(Msg::control(MsgType::kSendFailed, peer_, kControlApp));
-    }
-    return false;
-  }
-  down_flush_msgs_.observe(static_cast<double>(pending.size()));
-  const TimePoint now = clock_.now();
-  for (const auto& m : pending) {
-    down_meter_.record(m->wire_size(), now);
-    down_bytes_.inc(m->wire_size());
-  }
-  down_msgs_.inc(pending.size());
-  if (zc_calls > 0) {
-    // The kernel reads the payload pages and header bytes at transmit
-    // time: park both until the completion ids this flush consumed are
-    // reaped. zc_next_id_ mirrors the kernel's per-socket id counter
-    // (one id per flagged sendmsg, assigned sequentially from 0).
-    ZcInFlight rec;
-    rec.lo = zc_next_id_;
-    rec.hi = zc_next_id_ + static_cast<u32>(zc_calls) - 1;
-    zc_next_id_ += static_cast<u32>(zc_calls);
-    rec.msgs = std::move(pending);
-    rec.headers = std::move(headers);
-    zc_inflight_.push_back(std::move(rec));
-    pending.clear();  // restore the moved-from vector to a known state
-  } else {
-    pending.clear();
-  }
-  sink_.wake();  // switch may have been waiting for sender-buffer space
-  return true;
-}
-
-void PeerLink::count_send_loss(const Msg& m) {
-  down_meter_.record_loss(m.wire_size());
-  down_lost_bytes_.inc(m.wire_size());
-  down_lost_msgs_.inc();
+  if (!recv_blocked_.exchange(false)) return;
+  worker_.submit([this] { resume_recv(); }, &loop_lag_);
 }
 
 void PeerLink::set_send_loss(double probability) {
@@ -410,6 +139,453 @@ void PeerLink::set_send_loss(double probability) {
 void PeerLink::update_queue_gauges() {
   recv_depth_.set(static_cast<i64>(recv_buffer_.size()));
   send_depth_.set(static_cast<i64>(send_buffer_.size()));
+}
+
+// --- Worker-thread state machine --------------------------------------------
+
+void PeerLink::ws_start() {
+  if (detached_) return;
+  if (!conn_.valid()) {
+    fail(MsgType::kPeerFailed);
+    return;
+  }
+  if (dial_pending_) {
+    state_ = State::kConnecting;
+    if (!worker_.add_fd(fd(), EPOLLOUT, this)) {
+      fail(MsgType::kPeerFailed);
+      return;
+    }
+    registered_ = true;
+    interest_ = EPOLLOUT;
+    worker_.schedule_after(
+        connect_timeout_, this,
+        [this] {
+          if (!detached_ && state_ == State::kConnecting) {
+            errno = ETIMEDOUT;
+            fail(MsgType::kPeerFailed);
+          }
+        },
+        &loop_lag_);
+  } else {
+    // Accepted socket, hello already consumed by the engine's blocking
+    // handshake read: go straight to established.
+    conn_.set_nonblocking(true);
+    state_ = State::kEstablished;
+    if (!worker_.add_fd(fd(), EPOLLIN, this)) {
+      fail(MsgType::kPeerFailed);
+      return;
+    }
+    registered_ = true;
+    interest_ = EPOLLIN;
+    pump_send();  // the engine may have queued sends before we registered
+  }
+}
+
+void PeerLink::ws_connect_ready() {
+  worker_.cancel_timers(this);  // the connect deadline
+  if (!conn_.finish_connect()) {
+    fail(MsgType::kPeerFailed);
+    return;
+  }
+  state_ = State::kHandshaking;
+  const auto hello = encode_hello(Hello{ConnKind::kPersistent, self_});
+  raw_head_.assign(hello.begin(), hello.end());
+  raw_off_ = 0;
+  update_interest();
+  if (flush_wire() && state_ == State::kEstablished) {
+    pump_send();
+    pump_recv();
+  }
+}
+
+void PeerLink::on_event(u32 events) {
+  if (detached_) return;
+  if (state_ == State::kConnecting) {
+    // EPOLLOUT (or ERR/HUP) resolves the pending connect either way.
+    ws_connect_ready();
+    return;
+  }
+  if ((events & (EPOLLERR | EPOLLHUP)) != 0 && read_parked() &&
+      !write_blocked_) {
+    // A dead socket reports ERR/HUP on every epoll_wait even with an empty
+    // interest mask; while parked (pacing timer or full buffer) we cannot
+    // consume the error, so leave the epoll set entirely to avoid a busy
+    // loop. update_interest() re-adds the fd on resume and the resumed
+    // read then observes the error.
+    if (registered_ && !suspended_) {
+      worker_.del_fd(fd());
+      suspended_ = true;
+    }
+    return;
+  }
+  if ((events & EPOLLOUT) != 0) {
+    if (flush_wire() && state_ == State::kEstablished) pump_send();
+    if (detached_) return;
+  }
+  if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) pump_recv();
+}
+
+// --- Send path --------------------------------------------------------------
+
+void PeerLink::pump_send() {
+  if (detached_ || state_ != State::kEstablished) return;
+  if (!flush_wire()) return;  // backlogged (EPOLLOUT armed) or dead
+  if (send_paced_) return;    // the pacing timer owns progress
+  bool popped_any = false;
+  while (!stopping_.load(std::memory_order_relaxed)) {
+    if (popped_idx_ >= popped_.size()) {
+      popped_.clear();
+      popped_idx_ = 0;
+      if (send_buffer_.try_pop_batch(popped_, kMaxWireBatch) == 0) break;
+      popped_any = true;
+      send_depth_.set(static_cast<i64>(send_buffer_.size()));
+    }
+    while (popped_idx_ < popped_.size()) {
+      MsgPtr& m = popped_[popped_idx_];
+      const u32 loss_ppm = send_loss_ppm_.load(std::memory_order_relaxed);
+      if (loss_ppm > 0 && loss_rng_.below(1000000) < loss_ppm) {
+        // Injected wire loss (kSetLoss): the message vanishes before
+        // pacing, accounted like any other sender-side drop.
+        count_send_loss(*m);
+        m.reset();
+        ++popped_idx_;
+        sink_.wake();
+        continue;
+      }
+      const Duration wait =
+          bandwidth_.acquire_send(peer_, m->wire_size(), clock_.now());
+      if (wait > 0) {
+        // Pacing boundary: everything accumulated so far cleared the
+        // token bucket with zero wait, so flush it before the emulated
+        // sleep — batching never shifts a message past its departure
+        // time. The sleep itself becomes a reactor timer; the message
+        // stays parked in popped_ until it fires.
+        stage_pending();
+        flush_wire();
+        if (detached_) return;
+        send_throttle_wait_.observe_duration(wait);
+        send_paced_ = true;
+        worker_.schedule_after(
+            wait, this, [this] { on_send_pace_done(); }, &loop_lag_);
+        if (popped_any) sink_.wake();
+        return;
+      }
+      pending_.push_back(std::move(m));
+      ++popped_idx_;
+    }
+    stage_pending();
+    // EAGAIN leaves EPOLLOUT armed, and the EPOLLOUT that drains the wire
+    // re-enters this pump, so the rest of the send buffer is never left
+    // without a pending wakeup. An error has already detached the link.
+    if (!flush_wire()) break;
+  }
+  if (detached_) return;
+  if (popped_any) sink_.wake();
+}
+
+void PeerLink::on_send_pace_done() {
+  send_paced_ = false;
+  if (detached_) return;
+  if (popped_idx_ < popped_.size() && popped_[popped_idx_]) {
+    pending_.push_back(std::move(popped_[popped_idx_]));
+    ++popped_idx_;
+  }
+  pump_send();
+}
+
+void PeerLink::stage_pending() {
+  if (pending_.empty()) return;
+  down_flush_msgs_.observe(static_cast<double>(pending_.size()));
+  for (auto& m : pending_) {
+    wire_headers_.push_back(codec::encode_header(*m));
+    wire_msgs_.push_back(std::move(m));
+  }
+  pending_.clear();
+}
+
+bool PeerLink::flush_wire() {
+  if (detached_) return false;
+  // The raw handshake bytes precede any frame.
+  while (raw_off_ < raw_head_.size()) {
+    iovec v{raw_head_.data() + raw_off_, raw_head_.size() - raw_off_};
+    const long n = conn_.writev_some(&v, 1);
+    if (n == 0) {
+      write_blocked_ = true;
+      update_interest();
+      return false;
+    }
+    if (n < 0) {
+      fail(MsgType::kPeerFailed);  // handshake never made it out
+      return false;
+    }
+    raw_off_ += static_cast<std::size_t>(n);
+  }
+  if (state_ == State::kHandshaking) {
+    state_ = State::kEstablished;
+    raw_head_.clear();
+    raw_off_ = 0;
+  }
+  std::size_t completed = 0;
+  bool drained = true;
+  while (!wire_msgs_.empty()) {
+    // Same shape as write_batch: up to kMaxWireBatch frames, two iovecs
+    // each, one sendmsg. Only the front frame can be partial.
+    std::array<iovec, 2 * kMaxWireBatch> iov;
+    int iovcnt = 0;
+    const std::size_t take = std::min(wire_msgs_.size(), kMaxWireBatch);
+    std::size_t skip = wire_off_;
+    for (std::size_t i = 0; i < take; ++i) {
+      const Msg& m = *wire_msgs_[i];
+      const u8* hdr = wire_headers_[i].data();
+      std::size_t hdr_len = wire_headers_[i].size();
+      const u8* pay = m.payload_size() > 0 ? m.payload()->data() : nullptr;
+      std::size_t pay_len = m.payload_size();
+      if (skip > 0) {
+        const std::size_t h = std::min(skip, hdr_len);
+        hdr += h;
+        hdr_len -= h;
+        skip -= h;
+        const std::size_t p = std::min(skip, pay_len);
+        pay += p;
+        pay_len -= p;
+        skip -= p;
+      }
+      if (hdr_len > 0) {
+        iov[iovcnt++] = {const_cast<u8*>(hdr), hdr_len};
+      }
+      if (pay_len > 0) {
+        iov[iovcnt++] = {const_cast<u8*>(pay), pay_len};
+      }
+    }
+    u64 sys = 0;
+    const long n = conn_.writev_some(iov.data(), iovcnt, &sys);
+    down_syscalls_.inc(sys);
+    if (n == 0) {
+      write_blocked_ = true;
+      update_interest();
+      drained = false;
+      break;
+    }
+    if (n < 0) {
+      if (completed > 0) sink_.wake();
+      fail(MsgType::kSendFailed);
+      return false;
+    }
+    wire_off_ += static_cast<std::size_t>(n);
+    const TimePoint now = clock_.now();
+    while (!wire_msgs_.empty()) {
+      const std::size_t frame = wire_msgs_.front()->wire_size();
+      if (wire_off_ < frame) break;
+      wire_off_ -= frame;
+      down_meter_.record(frame, now);
+      down_bytes_.inc(frame);
+      down_msgs_.inc();
+      wire_msgs_.pop_front();
+      wire_headers_.pop_front();
+      ++completed;
+    }
+  }
+  if (drained && write_blocked_) {
+    write_blocked_ = false;
+    update_interest();
+  }
+  if (completed > 0) sink_.wake();
+  return drained;
+}
+
+// --- Receive path -----------------------------------------------------------
+
+void PeerLink::pump_recv() {
+  if (detached_ || state_ == State::kConnecting || read_parked()) return;
+  while (!stopping_.load(std::memory_order_relaxed)) {
+    MsgPtr m = reader_.next();
+    const u64 s = reader_.syscalls();
+    if (s != seen_syscalls_) {
+      // The reader went back to the socket, so the frames decoded since
+      // the previous refill formed one bulk batch.
+      if (refill_msgs_ > 0) {
+        up_flush_msgs_.observe(static_cast<double>(refill_msgs_));
+      }
+      up_syscalls_.inc(s - seen_syscalls_);
+      seen_syscalls_ = s;
+      refill_msgs_ = 0;
+    }
+    if (m) ++refill_msgs_;
+    if (!m) {
+      flush_inbound();  // deliver what already decoded before any verdict
+      if (reader_.would_block()) return;  // EPOLLIN resumes the pump
+      fail(MsgType::kPeerFailed);         // EOF, socket error, corrupt frame
+      return;
+    }
+
+    // Download-side bandwidth emulation: pace before the message becomes
+    // visible. Instead of sleeping we park the message and stop reading;
+    // the kernel receive window fills and TCP pushes back on the sender —
+    // exactly the "back pressure" of §2.4. A non-zero wait is a pacing
+    // boundary: everything decoded so far becomes visible before the
+    // emulated delay.
+    const Duration wait =
+        bandwidth_.acquire_recv(peer_, m->wire_size(), clock_.now());
+    if (wait > 0) {
+      flush_inbound();
+      if (detached_) return;
+      recv_throttle_wait_.observe_duration(wait);
+      paced_ = std::move(m);
+      update_interest();
+      worker_.schedule_after(
+          wait, this, [this] { on_recv_pace_done(); }, &loop_lag_);
+      return;
+    }
+    account_and_route(std::move(m));
+    if (detached_ || read_parked()) return;
+  }
+}
+
+void PeerLink::on_recv_pace_done() {
+  if (detached_ || !paced_) return;
+  MsgPtr m = std::move(paced_);
+  account_and_route(std::move(m));
+  if (detached_ || read_parked()) return;
+  update_interest();
+  pump_recv();
+}
+
+void PeerLink::resume_recv() {
+  if (detached_) return;
+  if (!flush_inbound()) return;  // still full: re-parked, flag re-set
+  if (held_ctrl_) sink_.post(std::move(held_ctrl_));
+  if (paced_) return;  // the pacing timer continues the pump
+  update_interest();
+  pump_recv();
+}
+
+void PeerLink::account_and_route(MsgPtr m) {
+  const TimePoint now = clock_.now();
+  up_meter_.record(m->wire_size(), now);
+  up_bytes_.inc(m->wire_size());
+  up_msgs_.inc();
+  if (m->type() == MsgType::kData) {
+    inbound_.push_back(Inbound{std::move(m), now});
+    // Keep accumulating only while the reader can hand out more frames
+    // without going back to the socket; flush at every syscall boundary
+    // so the switch never waits on delivered-but-unpushed messages.
+    if (inbound_.size() >= kMaxWireBatch || !reader_.buffered()) {
+      flush_inbound();
+    }
+  } else {
+    // Protocol/control traffic bypasses the data buffers so it cannot be
+    // starved by a congested data plane (flush first to preserve arrival
+    // order between the two planes; if the flush parks, hold the control
+    // message so order is still preserved on resume).
+    if (flush_inbound()) {
+      sink_.post(std::move(m));
+    } else {
+      held_ctrl_ = std::move(m);
+    }
+  }
+}
+
+bool PeerLink::flush_inbound() {
+  for (;;) {
+    if (inbound_.empty()) {
+      if (recv_full_) {
+        recv_full_ = false;
+        update_interest();
+      }
+      return true;
+    }
+    const std::size_t pushed = recv_buffer_.try_push_batch(inbound_);
+    if (pushed > 0) {
+      inbound_.erase(inbound_.begin(),
+                     inbound_.begin() + static_cast<std::ptrdiff_t>(pushed));
+      recv_depth_.set(static_cast<i64>(recv_buffer_.size()));
+      sink_.wake();
+      continue;
+    }
+    if (recv_buffer_.closed()) {
+      inbound_.clear();  // teardown: the engine no longer drains
+      continue;
+    }
+    if (recv_full_ && recv_blocked_.load()) return false;  // already parked
+    // Full: park. Publish the flag, then loop for one more push attempt —
+    // if the engine drained between our failed push and the store, its
+    // notify_recv_space saw the flag unset and no resume would ever come.
+    recv_full_ = true;
+    recv_blocked_.store(true);
+    update_interest();
+    sink_.wake();
+  }
+}
+
+// --- Failure and teardown ---------------------------------------------------
+
+void PeerLink::fail(MsgType kind) {
+  if (detached_) return;
+  if (!stopping_.load(std::memory_order_relaxed)) {
+    failed_.store(true, std::memory_order_relaxed);
+    sink_.post(Msg::control(kind, peer_, kControlApp));
+  }
+  detach();
+}
+
+void PeerLink::detach() {
+  if (detached_) return;
+  detached_ = true;
+  if (registered_ && !suspended_) worker_.del_fd(fd());
+  registered_ = false;
+  suspended_ = false;
+  worker_.cancel_timers(this);
+  // Account every undelivered egress message as lost ("the number of
+  // bytes (or messages) lost due to failures").
+  for (const auto& m : wire_msgs_) count_send_loss(*m);
+  wire_msgs_.clear();
+  wire_headers_.clear();
+  wire_off_ = 0;
+  for (const auto& m : pending_) count_send_loss(*m);
+  pending_.clear();
+  for (std::size_t i = popped_idx_; i < popped_.size(); ++i) {
+    if (popped_[i]) count_send_loss(*popped_[i]);
+  }
+  popped_.clear();
+  popped_idx_ = 0;
+  std::vector<MsgPtr> rest;
+  while (send_buffer_.try_pop_batch(rest, kMaxWireBatch) > 0) {
+    for (const auto& m : rest) count_send_loss(*m);
+    rest.clear();
+  }
+  inbound_.clear();
+  paced_.reset();
+  held_ctrl_.reset();
+  state_ = State::kDraining;
+}
+
+void PeerLink::update_interest() {
+  if (detached_ || !registered_) return;
+  u32 want = 0;
+  if (state_ == State::kConnecting) {
+    want = EPOLLOUT;
+  } else {
+    if (!read_parked()) want |= EPOLLIN;
+    if (write_blocked_) want |= EPOLLOUT;
+  }
+  if (suspended_) {
+    if (want == 0) return;
+    if (worker_.add_fd(fd(), want, this)) {
+      suspended_ = false;
+      interest_ = want;
+    }
+    return;
+  }
+  if (want != interest_) {
+    worker_.mod_fd(fd(), want);
+    interest_ = want;
+  }
+}
+
+void PeerLink::count_send_loss(const Msg& m) {
+  down_meter_.record_loss(m.wire_size());
+  down_lost_bytes_.inc(m.wire_size());
+  down_lost_msgs_.inc();
 }
 
 }  // namespace iov::engine

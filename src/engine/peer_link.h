@@ -1,35 +1,51 @@
-// PeerLink — one persistent connection to a peer node, with its receiver
-// thread, sender thread, buffers and meters (paper Fig. 4).
+// PeerLink — one persistent connection to a peer node, with its buffers,
+// meters and the event-driven wire path between them (paper Fig. 4,
+// DESIGN.md §9).
 //
-// The paper's engine is "thread-per-receiver and thread-per-sender ...
-// along with a separate engine thread"; because connections are
-// persistent and full duplex ("all the messages between two nodes are
-// carried with the same connection"), both threads share one TCP socket.
+// The paper gives every connection a receiver thread and a sender thread;
+// because connections are persistent and full duplex ("all the messages
+// between two nodes are carried with the same connection"), both share
+// one TCP socket. Here the two thread bodies are one state machine pinned
+// to a worker of the process-shared epoll reactor:
+//
+//   kConnecting --connect done--> kHandshaking --hello flushed-->
+//   kEstablished --stop()/failure--> kDraining
 //
 // Data-plane flow (batched wire path, DESIGN.md §8):
-//   receiver thread:  socket --FrameReader bulk decode--> per message:
-//                     [bandwidth recv pacing] --> recv buffer
-//                     (blocking push = back-pressure)
-//   engine thread:    recv buffer --batch pop, switch/algorithm--> send
-//                     buffer
-//   sender thread:    send buffer --pop_batch--> per message: [bandwidth
-//                     send pacing, splitting the flush at every throttle
-//                     boundary] --write_batch (scatter-gather)--> socket
+//   worker, readable:  socket --FrameReader bulk decode--> per message:
+//                      [bandwidth recv pacing] --> recv buffer
+//   engine thread:     recv buffer --batch pop, switch/algorithm--> send
+//                      buffer, then notify_send()
+//   worker, pump:      send buffer --batch pop--> per message: [bandwidth
+//                      send pacing, splitting the flush at every throttle
+//                      boundary] --scatter-gather sendmsg--> socket
+//
+// Pacing sleeps become reactor timers, and the flush-before-sleep rule
+// keeps emulated departure/arrival times exact. Back-pressure translates
+// from blocking queue calls to event-loop parking:
+//   * recv buffer full  -> stop reading (drop EPOLLIN; kernel window
+//     fills; TCP pushes back) until the engine drains the buffer and
+//     calls notify_recv_space();
+//   * send buffer empty -> do nothing until the engine pushes and calls
+//     notify_send().
 //
 // Control-plane messages received on the link (anything but kData) bypass
 // the buffers and are posted straight to the engine's internal sink —
 // the moral equivalent of the paper's trick of "passing application-layer
 // messages across thread boundaries via the publicized port". Failures
 // are reported the same way (kPeerFailed / kSendFailed).
+//
+// Threading: start/stop/join/notify_* are called from the engine thread;
+// every other method runs on the owning reactor worker. The two sides meet
+// only through atomics, the thread-safe queues, and Worker::submit (whose
+// per-worker FIFO ordering guarantees that a notify task submitted before
+// the stop task can never observe the link after teardown).
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <deque>
-#include <memory>
 #include <mutex>
-#include <thread>
-
 #include <vector>
 
 #include "common/bounded_queue.h"
@@ -37,30 +53,27 @@
 #include "common/node_id.h"
 #include "common/rng.h"
 #include "engine/config.h"
+#include "message/codec.h"
 #include "message/msg.h"
+#include "message/slab_pool.h"
 #include "net/bandwidth.h"
 #include "net/framing.h"
+#include "net/reactor/reactor.h"
 #include "net/socket.h"
 #include "net/throughput.h"
 #include "obs/metrics.h"
 
-namespace iov::reactor {
-class Worker;
-}  // namespace iov::reactor
-
 namespace iov::engine {
 
-class ReactorLink;
-
 /// A data message waiting in a receive buffer, stamped with the time the
-/// receiver thread enqueued it so the switch can measure enqueue→dequeue
-/// latency (docs/METRICS.md: iov_switch_latency_seconds).
+/// link enqueued it so the switch can measure enqueue→dequeue latency
+/// (docs/METRICS.md: iov_switch_latency_seconds).
 struct Inbound {
   MsgPtr msg;
   TimePoint enqueued_at = 0;
 };
 
-/// Where link threads deposit messages for the engine thread.
+/// Where links deposit messages for the engine thread.
 class InternalSink {
  public:
   virtual ~InternalSink() = default;
@@ -70,67 +83,43 @@ class InternalSink {
   virtual void wake() = 0;
 };
 
-/// Sleep that a stop() can cut short, so tearing down a link never waits
-/// out a long bandwidth-pacing delay.
-class InterruptibleSleeper {
+class PeerLink final : public reactor::EventHandler {
  public:
-  /// Sleeps for `d` or until interrupt(); returns false if interrupted.
-  bool sleep(Duration d);
-  void interrupt();
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool interrupted_ = false;
-};
-
-class PeerLink {
- public:
-  /// Takes ownership of an established, hello-completed connection.
-  /// `config` supplies buffer capacities and the wire-batching knobs;
-  /// `metrics` must outlive the link (the engine owns both). `pool`,
-  /// when non-null, serves the receiver's large-frame payload slabs
-  /// (config.wire_payload_pool; the engine owns the pool, which must
-  /// outlive the link).
-  ///
-  /// `worker`, when non-null, selects reactor mode (DESIGN.md §9): the
-  /// link is driven by that shared epoll worker's state machine instead
-  /// of spawning a receiver + sender thread. `dial_pending` (reactor mode
-  /// only) means `conn` came from TcpConn::connect_start and the TCP
-  /// handshake + our hello still have to complete on the worker.
+  /// Takes ownership of `conn`. `config` supplies the buffer capacities
+  /// and the connect timeout; `metrics` must outlive the link. `pool`
+  /// serves the large-frame payload slabs and must outlive the link (the
+  /// engine owns both). `worker` drives the link for its whole life.
+  /// `dial_pending` means `conn` came from TcpConn::connect_start and the
+  /// TCP handshake (then our hello) must complete on the worker before
+  /// frames flow; false means an accepted, hello-completed socket.
   PeerLink(NodeId self, NodeId peer, TcpConn conn, const EngineConfig& config,
            BandwidthEmulator& bandwidth, const Clock& clock,
-           InternalSink& sink, obs::MetricsRegistry& metrics,
-           SlabPool* pool = nullptr, reactor::Worker* worker = nullptr,
-           bool dial_pending = false);
-  ~PeerLink();
+           InternalSink& sink, obs::MetricsRegistry& metrics, SlabPool& pool,
+           reactor::Worker& worker, bool dial_pending = false);
+  ~PeerLink() override;
 
   PeerLink(const PeerLink&) = delete;
   PeerLink& operator=(const PeerLink&) = delete;
 
-  /// Spawns the receiver and sender threads (legacy mode) or registers
-  /// the socket with the reactor worker (reactor mode).
+  // --- Engine-thread API ---------------------------------------------------
+
+  /// Registers the socket with the worker (asynchronously).
   void start();
 
-  /// True when this link runs on the shared epoll reactor instead of a
-  /// receiver + sender thread pair.
-  bool reactor_mode() const { return rlink_ != nullptr; }
-
-  /// Reactor mode: the engine pushed into the send buffer — schedule a
-  /// send pump on the worker (deduplicated). No-op in legacy mode (the
-  /// sender thread blocks on the queue instead).
+  /// The engine pushed into the send buffer: schedule a send pump
+  /// (deduplicated — at most one pump task in flight).
   void notify_send();
 
-  /// Reactor mode: the engine drained the receive buffer — resume a
-  /// reader parked on a full buffer. No-op in legacy mode.
+  /// The engine drained the receive buffer: resume a reader parked on a
+  /// full buffer (no-op otherwise).
   void notify_recv_space();
 
-  /// Initiates teardown: closes both buffers, shuts the socket down (which
-  /// unblocks both threads), and interrupts pacing sleeps. Idempotent;
-  /// safe from the engine thread.
+  /// Initiates teardown: closes both buffers, shuts the socket down, and
+  /// submits the teardown task to the worker. Idempotent.
   void stop();
 
-  /// Joins both threads. Call after stop().
+  /// Blocks until the teardown task has run on the worker; after this no
+  /// worker code touches the link again. Call after stop().
   void join();
 
   const NodeId& peer() const { return peer_; }
@@ -152,7 +141,7 @@ class PeerLink {
   const ThroughputMeter& down_meter() const { return down_meter_; }
   ThroughputMeter& down_meter() { return down_meter_; }
 
-  /// True once either thread has observed a fatal socket error.
+  /// True once the link has observed a fatal socket error.
   bool failed() const { return failed_.load(std::memory_order_relaxed); }
 
   /// Emulated sender-side message loss (kSetLoss fault injection): each
@@ -160,39 +149,67 @@ class PeerLink {
   /// wire, accounted in the down-direction loss meters. Thread safe.
   void set_send_loss(double probability);
 
+  // --- Worker-thread entry point -------------------------------------------
+
+  void on_event(u32 events) override;
+
  private:
-  friend class ReactorLink;  // the reactor-mode implementation of this link
+  enum class State { kConnecting, kHandshaking, kEstablished, kDraining };
 
-  void receiver_main();
-  void sender_main();
+  // All private methods run on the worker thread.
+  void ws_start();
+  void ws_connect_ready();
+  void pump_send();
+  void pump_recv();
+  void on_send_pace_done();
+  void on_recv_pace_done();
+  void resume_recv();
 
-  /// Scatter-gather flush of the pacing-cleared messages accumulated by
-  /// sender_main; records meters/metrics per message and wakes the
-  /// engine once. Clears `pending`. False on socket error (pending
-  /// counted as lost). When the zerocopy path is active and the flush
-  /// contains a frame at or above wire_zerocopy_min_bytes, the flush
-  /// goes out with MSG_ZEROCOPY and the messages + encoded headers are
-  /// retained in zc_inflight_ until their completions are reaped.
-  bool flush_pending(std::vector<MsgPtr>& pending);
+  /// Moves pacing-cleared messages onto the wire queue (headers encoded
+  /// here, so a partial write can resume byte-exactly).
+  void stage_pending();
 
-  /// Drains pending MSG_ZEROCOPY completions from the error queue and
-  /// releases the in-flight records they cover. Sender-thread only;
-  /// best-effort and non-blocking.
-  void reap_zerocopy_completions();
+  /// Writes the raw handshake bytes, then wire frames, until drained or
+  /// EAGAIN (arms EPOLLOUT) or error (fails the link). Returns true only
+  /// when everything staged so far is on the wire.
+  bool flush_wire();
+
+  /// Hands the decoded batch to the switch. On a full buffer parks the
+  /// reader (recv_full_, EPOLLIN off, engine woken) and returns false.
+  bool flush_inbound();
+
+  /// Post-pacing half of message delivery: meters, then route to the
+  /// recv buffer (kData) or the internal sink (control).
+  void account_and_route(MsgPtr m);
+
+  /// True while the reader must not consume more input.
+  bool read_parked() const { return paced_ || held_ctrl_ || recv_full_; }
+
+  /// Marks the link failed, notifies the engine (unless stopping), and
+  /// detaches.
+  void fail(MsgType kind);
+
+  /// Removes the fd and timers from the worker and accounts every
+  /// undelivered egress message as lost. Idempotent.
+  void detach();
+
+  /// Recomputes the epoll interest mask from the parked/blocked flags.
+  void update_interest();
 
   /// Loss accounting shared by every sender-side drop site.
   void count_send_loss(const Msg& m);
 
+  int fd() const { return conn_.fd(); }
+
   const NodeId self_;
   const NodeId peer_;
   TcpConn conn_;
-  const std::size_t wire_batch_msgs_;
-  const bool wire_bulk_reader_;
-  SlabPool* const pool_;
-  const std::size_t zerocopy_min_bytes_;
   BandwidthEmulator& bandwidth_;
   const Clock& clock_;
   InternalSink& sink_;
+  reactor::Worker& worker_;
+  const bool dial_pending_;
+  const Duration connect_timeout_;
 
   BoundedQueue<Inbound> recv_buffer_;
   BoundedQueue<MsgPtr> send_buffer_;
@@ -211,47 +228,53 @@ class PeerLink {
   obs::Gauge& send_depth_;
   obs::Histogram& recv_throttle_wait_;
   obs::Histogram& send_throttle_wait_;
-  obs::Counter& up_syscalls_;    ///< recv syscalls (FrameReader / read_msg)
+  obs::Counter& up_syscalls_;    ///< recv syscalls issued by the FrameReader
   obs::Counter& down_syscalls_;  ///< sendmsg calls issued by flushes
   obs::Histogram& up_flush_msgs_;    ///< frames decoded per recv refill
-  obs::Histogram& down_flush_msgs_;  ///< messages per scatter-gather flush
-  obs::Counter& zc_sends_;        ///< MSG_ZEROCOPY sendmsg calls issued
-  obs::Counter& zc_completions_;  ///< completion ids reaped
-  obs::Counter& zc_copied_;       ///< completions the kernel copied anyway
-  obs::Counter& zc_fallbacks_;    ///< flagged sends demoted to plain sendmsg
+  obs::Histogram& down_flush_msgs_;  ///< messages per staged flush
+  obs::Histogram& loop_lag_;         ///< reactor task/timer scheduling lag
 
-  // --- MSG_ZEROCOPY in-flight tracking (sender-thread only) ---------------
-  // The kernel reads the iovec'd pages at transmit time, so each flagged
-  // flush's MsgPtrs *and* encoded headers stay alive here until the
-  // error-queue completion covering their id range is reaped.
-  struct ZcInFlight {
-    u32 lo = 0;  ///< first completion id of the flush (32-bit wrapping)
-    u32 hi = 0;  ///< last completion id of the flush
-    std::vector<MsgPtr> msgs;
-    std::vector<codec::HeaderBytes> headers;
-  };
-  /// In-flight records above which flush_pending pauses to reap before
-  /// sending more (keeps pinned memory bounded when completions lag).
-  static constexpr std::size_t kZcInFlightWatermark = 256;
-  bool zerocopy_enabled_ = false;  ///< SO_ZEROCOPY accepted on this socket
-  u32 zc_next_id_ = 0;            ///< next completion id the kernel assigns
-  std::deque<ZcInFlight> zc_inflight_;
-  std::vector<TcpConn::ZcRange> zc_ranges_;  ///< reap scratch
-
-  InterruptibleSleeper recv_sleeper_;
-  InterruptibleSleeper send_sleeper_;
-
-  // Injected loss, parts per million; the rng is sender-thread-only.
+  // Injected loss, parts per million; the rng is worker-thread-only.
   std::atomic<u32> send_loss_ppm_{0};
   Rng loss_rng_;
 
-  std::thread receiver_;
-  std::thread sender_;
+  // --- Worker-thread state -------------------------------------------------
+  State state_ = State::kConnecting;
+  bool detached_ = false;
+  bool registered_ = false;   ///< fd currently added to the worker's epoll
+  bool suspended_ = false;    ///< deregistered while parked (HUP/ERR storm)
+  u32 interest_ = 0;          ///< current epoll interest mask
+
+  std::vector<u8> raw_head_;  ///< hello bytes to send before any frame
+  std::size_t raw_off_ = 0;
+
+  // Receive path.
+  FrameReader reader_;
+  std::vector<Inbound> inbound_;  ///< decoded kData awaiting one batch push
+  MsgPtr paced_;      ///< decoded message waiting out a recv pacing timer
+  MsgPtr held_ctrl_;  ///< control message waiting for inbound_ to flush
+  bool recv_full_ = false;  ///< recv buffer refused part of inbound_
+  u64 seen_syscalls_ = 0;
+  u64 refill_msgs_ = 0;
+
+  // Send path.
+  std::vector<MsgPtr> popped_;   ///< batch popped from the send buffer
+  std::size_t popped_idx_ = 0;   ///< first unprocessed element of popped_
+  std::vector<MsgPtr> pending_;  ///< pacing-cleared, not yet staged
+  std::deque<MsgPtr> wire_msgs_;              ///< staged frames
+  std::deque<codec::HeaderBytes> wire_headers_;
+  std::size_t wire_off_ = 0;   ///< bytes of the front frame already sent
+  bool send_paced_ = false;    ///< a send pacing timer is pending
+  bool write_blocked_ = false; ///< last write hit EAGAIN; EPOLLOUT armed
+
+  // --- Cross-thread state --------------------------------------------------
+  std::atomic<bool> send_scheduled_{false};
+  std::atomic<bool> recv_blocked_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> failed_{false};
-
-  /// Reactor-mode state machine; null in legacy thread-per-link mode.
-  std::unique_ptr<ReactorLink> rlink_;
+  std::mutex stop_mu_;
+  std::condition_variable stop_cv_;
+  bool stopped_ = false;  // guarded by stop_mu_
 };
 
 }  // namespace iov::engine

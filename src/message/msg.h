@@ -17,8 +17,8 @@
 //
 // Ownership (§2.3): algorithms never destruct messages. MsgPtr is a
 // shared_ptr, so "the engine is responsible for destruction" falls out of
-// reference counting — the last holder (a sender thread, usually) frees
-// it. Algorithms may re-`send()` a *data* message they received; for any
+// reference counting — the last holder (a link's send path, usually)
+// frees it. Algorithms may re-`send()` a *data* message they received; for any
 // other type they must clone() first, which Engine::send enforces in
 // debug builds.
 #pragma once

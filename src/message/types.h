@@ -82,7 +82,7 @@ enum class MsgType : u32 {
   /// A timer previously scheduled by the algorithm fired; param0 carries
   /// the algorithm-chosen timer id.
   kTimer = 0x0204,
-  /// Engine-internal: a receiver thread detected a failed upstream. Never
+  /// Engine-internal: a link detected a failed upstream. Never
   /// delivered to algorithms; the engine converts it to kBrokenLink /
   /// kBrokenSource after teardown.
   kPeerFailed = 0x0205,

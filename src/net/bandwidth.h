@@ -5,9 +5,9 @@
 //   (3) per-node incoming and outgoing bandwidth — asymmetric nodes,
 //       e.g. DSL/cable-modem style last miles.
 //
-// Sender threads call acquire_send() and receiver threads call
-// acquire_recv() for every message; the returned Duration is slept before
-// the bytes touch the socket. All scopes compose: a send must clear the
+// A link's send path calls acquire_send() and its receive path calls
+// acquire_recv() for every message; the returned Duration is waited out
+// before the bytes touch the socket (or the message becomes visible). All scopes compose: a send must clear the
 // per-link bucket, the node's uplink bucket, and the node's total bucket,
 // and waits for the most constrained one.
 //
@@ -67,8 +67,8 @@ class BandwidthEmulator {
   TokenBucket down_;
 
   std::mutex links_mu_;
-  // Buckets are held by unique_ptr so references handed to sender threads
-  // stay valid while the map rehashes.
+  // Buckets are held by unique_ptr so references handed to links stay
+  // valid while the map rehashes.
   std::unordered_map<NodeId, std::unique_ptr<TokenBucket>> link_up_;
   std::unordered_map<NodeId, std::unique_ptr<TokenBucket>> link_down_;
 };

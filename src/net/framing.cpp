@@ -78,32 +78,6 @@ bool write_batch(TcpConn& conn, const MsgPtr* msgs, std::size_t n,
   return true;
 }
 
-bool write_batch_zerocopy(TcpConn& conn, const MsgPtr* msgs, std::size_t n,
-                          std::vector<codec::HeaderBytes>& headers,
-                          u64* syscalls, u64* zc_calls) {
-  headers.resize(n);
-  std::array<iovec, 2 * kMaxWireBatch> iov;
-  for (std::size_t done = 0; done < n;) {
-    const std::size_t take = std::min(n - done, kMaxWireBatch);
-    int iovcnt = 0;
-    for (std::size_t i = 0; i < take; ++i) {
-      const Msg& m = *msgs[done + i];
-      headers[done + i] = codec::encode_header(m);
-      iov[iovcnt++] = {headers[done + i].data(), headers[done + i].size()};
-      if (m.payload_size() > 0) {
-        iov[iovcnt++] = {const_cast<u8*>(m.payload()->data()),
-                         m.payload_size()};
-      }
-    }
-    if (!conn.writev_all(iov.data(), iovcnt, syscalls, /*zerocopy=*/true,
-                         zc_calls)) {
-      return false;
-    }
-    done += take;
-  }
-  return true;
-}
-
 MsgPtr read_msg(TcpConn& conn) {
   u8 header_bytes[Msg::kHeaderSize];
   if (!conn.read_all(header_bytes, sizeof(header_bytes))) return nullptr;
@@ -120,11 +94,11 @@ MsgPtr read_msg(TcpConn& conn) {
                                header->seq, std::move(payload));
 }
 
-FrameReader::FrameReader(TcpConn& conn, std::size_t chunk_bytes,
-                         SlabPool* pool)
+FrameReader::FrameReader(TcpConn& conn, SlabPool& pool,
+                         std::size_t chunk_bytes)
     : conn_(conn),
-      chunk_bytes_(std::max<std::size_t>(chunk_bytes, 2 * Msg::kHeaderSize)),
-      pool_(pool) {}
+      pool_(pool),
+      chunk_bytes_(std::max<std::size_t>(chunk_bytes, 2 * Msg::kHeaderSize)) {}
 
 bool FrameReader::refill(std::size_t cap) {
   const std::size_t leftover = available();
@@ -165,26 +139,18 @@ bool FrameReader::refill(std::size_t cap) {
 
 MsgPtr FrameReader::read_large(const codec::Header& header) {
   // Frame bigger than the chunk: recv the payload directly into a
-  // payload-sized destination — a recycled pool slab when available
-  // (zero per-message payload allocation, no zero-fill), else one
-  // dedicated vector. Any payload bytes the chunk already holds are
-  // seeded with one memcpy; in the steady large-frame state the
-  // expect_large_ exact-header reads keep that seed empty, so the
-  // payload is never copied at all.
+  // recycled pool slab (zero per-message payload allocation, no
+  // zero-fill). Any payload bytes the chunk already holds are seeded
+  // with one memcpy; in the steady large-frame state the expect_large_
+  // exact-header reads keep that seed empty, so the payload is never
+  // copied at all.
   LargePending p;
   p.header = header;
   const std::size_t size = header.payload_size;
-  u8* dst = nullptr;
-  if (pool_ != nullptr) {
-    p.slab = pool_->acquire(size);
-    dst = p.slab->data();
-  } else {
-    p.bytes.resize(size);
-    dst = p.bytes.data();
-  }
+  p.slab = pool_.acquire(size);
   const std::size_t have = std::min(available(), size);
   if (have > 0) {
-    std::memcpy(dst, chunk_->data() + pos_, have);
+    std::memcpy(p.slab->data(), chunk_->data() + pos_, have);
     pos_ += have;
   }
   p.got = have;
@@ -195,7 +161,7 @@ MsgPtr FrameReader::read_large(const codec::Header& header) {
 MsgPtr FrameReader::resume_large() {
   LargePending& p = *large_;
   const std::size_t size = p.header.payload_size;
-  u8* dst = p.slab ? p.slab->data() : p.bytes.data();
+  u8* dst = p.slab->data();
   while (p.got < size) {
     const long n = conn_.read_some(dst + p.got, size - p.got);
     ++syscalls_;
@@ -214,11 +180,9 @@ MsgPtr FrameReader::resume_large() {
   }
   ++msgs_;
   expect_large_ = true;
-  BufferPtr payload = p.slab ? Buffer::slice(p.slab, p.slab->data(), size)
-                             : Buffer::wrap(std::move(p.bytes));
   auto msg = std::make_shared<Msg>(p.header.type, p.header.origin,
                                    p.header.app, p.header.seq,
-                                   std::move(payload));
+                                   Buffer::slice(p.slab, dst, size));
   large_.reset();
   return msg;
 }

@@ -48,7 +48,7 @@ struct Hello {
 /// The hello's fixed wire length.
 constexpr std::size_t kHelloBytes = 16;
 
-/// Serializes the hello (the reactor path queues these bytes for a
+/// Serializes the hello (a dialing PeerLink queues these bytes for a
 /// non-blocking write instead of write_hello's blocking call).
 std::array<u8, kHelloBytes> encode_hello(const Hello& hello);
 
@@ -66,33 +66,19 @@ bool write_msg(TcpConn& conn, const Msg& m);
 /// Messages coalesced into one scatter-gather flush (2 iovecs each).
 constexpr std::size_t kMaxWireBatch = 32;
 
-/// Writes `n` framed messages, coalescing up to kMaxWireBatch of them per
-/// sendmsg call. Byte-identical on the wire to n write_msg() calls, so
-/// batched and unbatched peers interoperate. `syscalls`, when non-null,
-/// accumulates the sendmsg calls issued. False on any socket error (the
-/// stream position is then undefined — the connection must be torn down,
-/// which is what the engine does anyway).
+/// Writes `n` framed messages on a blocking socket, coalescing up to
+/// kMaxWireBatch of them per sendmsg call. Byte-identical on the wire to
+/// n write_msg() calls and to a PeerLink's flushes. `syscalls`, when
+/// non-null, accumulates the sendmsg calls issued. False on any socket
+/// error (the stream position is then undefined — the connection must be
+/// torn down).
 bool write_batch(TcpConn& conn, const MsgPtr* msgs, std::size_t n,
                  u64* syscalls = nullptr);
 
-/// MSG_ZEROCOPY variant of write_batch (byte-identical on the wire).
-/// The kernel reads the referenced pages at *transmit* time, not at
-/// sendmsg time, so everything the iovecs point at must stay alive
-/// until the completions are reaped: the payloads (keep the MsgPtrs)
-/// and the encoded headers — which is why `headers` is caller-owned
-/// storage, resized and filled here, to be retained alongside the
-/// MsgPtrs in the in-flight record. `zc_calls` accumulates the number
-/// of completion ids the kernel assigned (one per flagged sendmsg; see
-/// TcpConn::reap_zerocopy). ENOBUFS falls back to plain sends
-/// mid-write, so some calls may consume fewer ids than syscalls.
-bool write_batch_zerocopy(TcpConn& conn, const MsgPtr* msgs, std::size_t n,
-                          std::vector<codec::HeaderBytes>& headers,
-                          u64* syscalls = nullptr, u64* zc_calls = nullptr);
-
 /// Reads one framed message with exact-size reads (two recv syscalls and
 /// one payload allocation per message). nullptr on EOF, socket error, or
-/// a corrupt header. This is the legacy/control-plane path; the data
-/// plane uses FrameReader below.
+/// a corrupt header. This is the control-plane path; the data plane uses
+/// FrameReader below.
 MsgPtr read_msg(TcpConn& conn);
 
 /// Bulk frame decoder: recv()s into a reusable chunk buffer, decodes as
@@ -105,15 +91,14 @@ MsgPtr read_msg(TcpConn& conn);
 /// happens-before edge).
 ///
 /// Frames larger than the chunk take the large-frame path: the payload
-/// is recv'd *directly* into a payload-sized destination — a recycled
-/// slab from the SlabPool when one was supplied (zero copy, zero
-/// per-message payload allocation; the slab returns to the pool when
-/// the last Buffer slice referencing it is released), or a dedicated
-/// vector otherwise (the legacy fallback). After a large frame the
-/// reader expects another one and reads the next header *exactly*
-/// (never slurping payload bytes into the chunk), so a steady stream of
-/// large frames is decoded without ever copying a payload byte; the
-/// guess costs one small extra recv when the stream turns small again.
+/// is recv'd *directly* into a recycled slab from the SlabPool (zero
+/// copy, zero per-message payload allocation; the slab returns to the
+/// pool when the last Buffer slice referencing it is released). After a
+/// large frame the reader expects another one and reads the next header
+/// *exactly* (never slurping payload bytes into the chunk), so a steady
+/// stream of large frames is decoded without ever copying a payload
+/// byte; the guess costs one small extra recv when the stream turns
+/// small again.
 ///
 /// Wire-format compatible with read_msg: the byte stream is identical,
 /// only the syscall/allocation pattern differs.
@@ -123,11 +108,10 @@ class FrameReader {
   /// can run ahead of per-message pacing) to one socket buffer's worth.
   static constexpr std::size_t kDefaultChunkBytes = 64 * 1024;
 
-  /// `pool`, when non-null, serves the large-frame payload slabs and
-  /// must outlive the reader (the slabs themselves may outlive both).
-  explicit FrameReader(TcpConn& conn,
-                       std::size_t chunk_bytes = kDefaultChunkBytes,
-                       SlabPool* pool = nullptr);
+  /// `pool` serves the large-frame payload slabs and must outlive the
+  /// reader (the slabs themselves may outlive both).
+  FrameReader(TcpConn& conn, SlabPool& pool,
+              std::size_t chunk_bytes = kDefaultChunkBytes);
 
   FrameReader(const FrameReader&) = delete;
   FrameReader& operator=(const FrameReader&) = delete;
@@ -170,8 +154,8 @@ class FrameReader {
   MsgPtr resume_large();
 
   TcpConn& conn_;
+  SlabPool& pool_;
   const std::size_t chunk_bytes_;
-  SlabPool* const pool_;
   std::shared_ptr<std::vector<u8>> chunk_;
   std::size_t pos_ = 0;  ///< first undecoded byte in *chunk_
   std::size_t end_ = 0;  ///< one past the last received byte
@@ -192,8 +176,7 @@ class FrameReader {
   /// sockets only): the destination stays put across next() calls.
   struct LargePending {
     codec::Header header;
-    SlabPtr slab;           ///< pool destination, or
-    std::vector<u8> bytes;  ///< dedicated fallback
+    SlabPtr slab;
     std::size_t got = 0;
   };
   std::optional<LargePending> large_;

@@ -203,34 +203,17 @@ Worker& Reactor::pick() {
   return *workers_[i % workers_.size()];
 }
 
-int Reactor::auto_threads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::max(1, std::min(4, static_cast<int>(hw)));
-}
-
-Reactor& Reactor::shared(int threads_hint) {
-  // First caller fixes the pool size; the pool lives until after main
-  // (function-local static), so links can always reach their worker.
-  static Reactor* instance = nullptr;
-  static std::once_flag once;
-  static int fixed = 0;
-  std::call_once(once, [&] {
-    fixed = threads_hint < 0 ? auto_threads() : std::max(threads_hint, 1);
-    static Reactor pool(fixed);
-    instance = &pool;
-    IOV_LOG_INFO("reactor") << "shared epoll pool started: " << fixed
+Reactor& Reactor::shared() {
+  // A function-local static outlives main, so links can always reach
+  // their worker.
+  static Reactor pool([] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    const int threads = std::max(1, std::min(4, static_cast<int>(hw)));
+    IOV_LOG_INFO("reactor") << "shared epoll pool started: " << threads
                             << " worker thread(s)";
-  });
-  const int want = threads_hint < 0 ? auto_threads() : std::max(threads_hint, 1);
-  if (want != fixed) {
-    static std::once_flag warn_once;
-    std::call_once(warn_once, [&] {
-      IOV_LOG_WARN("reactor")
-          << "reactor_threads=" << want << " requested but shared pool "
-          << "already sized at " << fixed << "; keeping existing pool";
-    });
-  }
-  return *instance;
+    return threads;
+  }());
+  return pool;
 }
 
 }  // namespace iov::reactor

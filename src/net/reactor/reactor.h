@@ -132,8 +132,7 @@ class Worker {
 };
 
 /// The fixed worker pool. One process-shared instance drives every
-/// reactor-mode engine (Reactor::shared()); tests may instantiate their
-/// own.
+/// engine (Reactor::shared()); tests may instantiate their own.
 class Reactor {
  public:
   /// Starts `threads` workers (clamped to ≥ 1).
@@ -148,14 +147,9 @@ class Reactor {
 
   int threads() const { return static_cast<int>(workers_.size()); }
 
-  /// The worker count used when the caller asks for "auto" (< 0):
-  /// min(4, hardware_concurrency), at least 1.
-  static int auto_threads();
-
-  /// The process-wide shared pool, created on first use. The first call
-  /// fixes the pool size: `threads_hint` < 0 means auto_threads(); later
-  /// calls with a different hint keep the existing pool (logged once).
-  static Reactor& shared(int threads_hint);
+  /// The process-wide shared pool of min(4, hardware_concurrency) workers
+  /// (at least 1), created on first use.
+  static Reactor& shared();
 
  private:
   std::vector<std::unique_ptr<Worker>> workers_;

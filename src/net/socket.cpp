@@ -10,10 +10,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <linux/errqueue.h>
-#endif
-
 #include <cerrno>
 #include <cstring>
 
@@ -160,31 +156,17 @@ bool TcpConn::write_all(const void* data, std::size_t n) {
   return true;
 }
 
-bool TcpConn::writev_all(struct iovec* iov, int iovcnt, u64* syscalls,
-                         bool zerocopy, u64* zc_calls) {
-#ifndef MSG_ZEROCOPY
-  zerocopy = false;
-#endif
+bool TcpConn::writev_all(struct iovec* iov, int iovcnt, u64* syscalls) {
   while (iovcnt > 0) {
     msghdr hdr{};
     hdr.msg_iov = iov;
     hdr.msg_iovlen = static_cast<std::size_t>(iovcnt);
-    int flags = MSG_NOSIGNAL;
-#ifdef MSG_ZEROCOPY
-    if (zerocopy) flags |= MSG_ZEROCOPY;
-#endif
-    const ssize_t written = ::sendmsg(fd_.get(), &hdr, flags);
+    const ssize_t written = ::sendmsg(fd_.get(), &hdr, MSG_NOSIGNAL);
     if (written < 0) {
       if (errno == EINTR) continue;
-      if (zerocopy && errno == ENOBUFS) {
-        // Kernel optmem pressure: finish this write as a plain copy.
-        zerocopy = false;
-        continue;
-      }
       return false;
     }
     if (syscalls != nullptr) ++*syscalls;
-    if (zerocopy && zc_calls != nullptr) ++*zc_calls;
     if (written == 0) return false;
     // Advance past fully written iovecs, then trim the partial one.
     std::size_t left = static_cast<std::size_t>(written);
@@ -216,55 +198,6 @@ long TcpConn::writev_some(const struct iovec* iov, int iovcnt,
     if (syscalls != nullptr) ++*syscalls;
     return static_cast<long>(written);
   }
-}
-
-bool TcpConn::enable_zerocopy() {
-#if defined(__linux__) && defined(SO_ZEROCOPY)
-  int one = 1;
-  return ::setsockopt(fd_.get(), SOL_SOCKET, SO_ZEROCOPY, &one,
-                      sizeof(one)) == 0;
-#else
-  return false;
-#endif
-}
-
-std::size_t TcpConn::reap_zerocopy(std::vector<ZcRange>& out) {
-#if defined(__linux__) && defined(SO_ZEROCOPY)
-  std::size_t reaped = 0;
-  while (true) {
-    // Completion notifications carry no data, only a cmsg on the error
-    // queue; MSG_DONTWAIT keeps this a pure poll.
-    u8 control[256];
-    msghdr hdr{};
-    hdr.msg_control = control;
-    hdr.msg_controllen = sizeof(control);
-    const ssize_t rc =
-        ::recvmsg(fd_.get(), &hdr, MSG_ERRQUEUE | MSG_DONTWAIT);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return reaped;  // EAGAIN: queue drained (or socket gone)
-    }
-    for (cmsghdr* cm = CMSG_FIRSTHDR(&hdr); cm != nullptr;
-         cm = CMSG_NXTHDR(&hdr, cm)) {
-      // TCP delivers zerocopy errors as IP_RECVERR-style messages.
-      const bool ip_err = (cm->cmsg_level == SOL_IP && cm->cmsg_type == IP_RECVERR) ||
-                          (cm->cmsg_level == SOL_IPV6 && cm->cmsg_type == IPV6_RECVERR);
-      if (!ip_err) continue;
-      sock_extended_err err{};
-      std::memcpy(&err, CMSG_DATA(cm), sizeof(err));
-      if (err.ee_origin != SO_EE_ORIGIN_ZEROCOPY) continue;
-      ZcRange range;
-      range.lo = err.ee_info;
-      range.hi = err.ee_data;
-      range.copied = (err.ee_code & SO_EE_CODE_ZEROCOPY_COPIED) != 0;
-      out.push_back(range);
-      ++reaped;
-    }
-  }
-#else
-  (void)out;
-  return 0;
-#endif
 }
 
 bool TcpConn::read_all(void* data, std::size_t n) {
@@ -319,17 +252,6 @@ std::optional<NodeId> TcpConn::local_addr() const {
     return std::nullopt;
   }
   return from_sockaddr(addr);
-}
-
-bool TcpConn::set_read_timeout(Duration timeout) {
-  timeval tv{};
-  if (timeout > 0) {
-    tv.tv_sec = static_cast<time_t>(timeout / kNanosPerSec);
-    tv.tv_usec = static_cast<suseconds_t>((timeout % kNanosPerSec) /
-                                          kNanosPerMicro);
-  }
-  return ::setsockopt(fd_.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) ==
-         0;
 }
 
 void TcpConn::set_buffer_sizes(int bytes) {

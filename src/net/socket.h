@@ -1,18 +1,17 @@
-// RAII socket primitives. All higher layers (framing, engine threads,
-// the observer) hold sockets only through these types, so descriptors can
-// never leak, and all error paths reduce to "the call returned false /
-// nullopt and errno says why".
+// RAII socket primitives. All higher layers (framing, peer links, the
+// engine, the observer) hold sockets only through these types, so
+// descriptors can never leak, and all error paths reduce to "the call
+// returned false / nullopt and errno says why".
 //
-// The paper's engine uses blocking send/recv in the per-connection
-// receiver and sender threads, and a non-blocking poll on the publicized
-// port in the engine thread; both styles are supported here.
+// Peer links drive non-blocking sockets from the epoll reactor; the
+// control, observer and proxy planes still use blocking reads and
+// writes. Both styles are supported here.
 #pragma once
 
 #include <sys/uio.h>
 
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "common/node_id.h"
 #include "common/types.h"
@@ -76,8 +75,7 @@ class TcpConn {
   int fd() const { return fd_.get(); }
 
   /// Switches the socket between blocking and non-blocking mode. The
-  /// reactor drives sockets non-blocking; the legacy thread-per-link
-  /// path keeps them blocking.
+  /// reactor drives peer-link sockets non-blocking.
   bool set_nonblocking(bool nonblocking);
 
   /// Writes exactly `n` bytes; false on any error (errno preserved).
@@ -89,18 +87,7 @@ class TcpConn {
   /// writes). The iovec array is clobbered while advancing over partial
   /// writes. `syscalls`, when non-null, is incremented once per sendmsg
   /// issued. False on any error; retries on EINTR; never raises SIGPIPE.
-  ///
-  /// `zerocopy`, when true, sends with MSG_ZEROCOPY (the caller must
-  /// have called enable_zerocopy() and must keep every referenced byte
-  /// alive until the matching completions are reaped — see
-  /// reap_zerocopy). `zc_calls`, when non-null, is incremented once per
-  /// sendmsg that actually carried the flag: that is exactly the number
-  /// of completion ids the kernel assigned to this write. If the kernel
-  /// refuses a zerocopy send with ENOBUFS (optmem pressure), the write
-  /// falls back to plain sendmsg for the rest of this call — automatic,
-  /// not an error.
-  bool writev_all(struct iovec* iov, int iovcnt, u64* syscalls = nullptr,
-                  bool zerocopy = false, u64* zc_calls = nullptr);
+  bool writev_all(struct iovec* iov, int iovcnt, u64* syscalls = nullptr);
 
   /// One sendmsg over `iov[0..iovcnt)` on a non-blocking socket: returns
   /// the bytes accepted by the kernel (possibly a partial write), 0 when
@@ -109,29 +96,6 @@ class TcpConn {
   /// `syscalls`, when non-null, counts the sendmsg issued.
   long writev_some(const struct iovec* iov, int iovcnt,
                    u64* syscalls = nullptr);
-
-  /// Opts the socket into MSG_ZEROCOPY sends (SO_ZEROCOPY). False when
-  /// the kernel or socket type does not support it; callers then simply
-  /// keep using plain sends.
-  bool enable_zerocopy();
-
-  /// One MSG_ZEROCOPY completion range from the socket error queue:
-  /// sends `lo..hi` (inclusive, in the order writev_all issued them,
-  /// 32-bit wrapping) have left the kernel; the bytes they referenced
-  /// may be reused. `copied` reports that the kernel fell back to
-  /// copying (loopback always does) — correct either way, just not a
-  /// true zero-copy transmit.
-  struct ZcRange {
-    u32 lo = 0;
-    u32 hi = 0;
-    bool copied = false;
-  };
-
-  /// Drains every pending zerocopy completion without blocking,
-  /// appending to `out`. Returns the number of ranges appended (0 when
-  /// the error queue is empty or on any error — reaping is best-effort;
-  /// teardown bounds it with a deadline, not with error handling).
-  std::size_t reap_zerocopy(std::vector<ZcRange>& out);
 
   /// Reads exactly `n` bytes; false on EOF or error.
   bool read_all(void* data, std::size_t n);
@@ -156,11 +120,6 @@ class TcpConn {
 
   /// Local address (useful when connecting from an ephemeral port).
   std::optional<NodeId> local_addr() const;
-
-  /// Sets SO_RCVTIMEO so blocking reads fail with EAGAIN after `timeout`;
-  /// pass 0 to restore fully blocking reads. Used by receiver threads to
-  /// periodically check for shutdown.
-  bool set_read_timeout(Duration timeout);
 
   /// Caps SO_SNDBUF/SO_RCVBUF at `bytes` each. Modern kernels auto-tune
   /// socket buffers into the megabytes, which hides TCP back-pressure

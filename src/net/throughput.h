@@ -5,8 +5,8 @@
 // detected by throughput measurements").
 //
 // The meter keeps a ring of fixed-width time bins; rate() sums the bins
-// inside the sliding window. Writers are the receiver/sender threads and
-// the reader is the engine thread, so all operations take the internal
+// inside the sliding window. Writers are the links (on reactor workers)
+// and the reader is the engine thread, so all operations take the internal
 // mutex (measurement happens per message, not per byte, so contention is
 // negligible at emulated rates).
 #pragma once

@@ -44,14 +44,6 @@ inline constexpr char kLinkQueueCapacity[] = "iov_link_queue_capacity";
 inline constexpr char kThrottleWaitSeconds[] = "iov_throttle_wait_seconds";
 inline constexpr char kLinkSyscallsTotal[] = "iov_link_syscalls_total";
 inline constexpr char kLinkFlushMsgs[] = "iov_link_flush_msgs";
-inline constexpr char kLinkZerocopySendsTotal[] =
-    "iov_link_zerocopy_sends_total";
-inline constexpr char kLinkZerocopyCompletionsTotal[] =
-    "iov_link_zerocopy_completions_total";
-inline constexpr char kLinkZerocopyCopiedTotal[] =
-    "iov_link_zerocopy_copied_total";
-inline constexpr char kLinkZerocopyFallbacksTotal[] =
-    "iov_link_zerocopy_fallbacks_total";
 
 // --- Payload slab pool (per-node registry) --------------------------------
 inline constexpr char kPoolSlabAcquiresTotal[] =

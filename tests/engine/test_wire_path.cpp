@@ -1,8 +1,6 @@
-// Wire-path knob integration over real engines and loopback TCP
-// (DESIGN.md §8): the pooled large-frame receive path (wire_payload_pool)
-// and the MSG_ZEROCOPY send path (wire_zerocopy_min_bytes), each verified
-// end to end with payload integrity plus the metrics that prove which
-// path actually ran.
+// Large-frame wire path over real engines and loopback TCP (DESIGN.md
+// §8): the pooled receive path, verified end to end with payload
+// integrity plus the slab-pool metrics that prove it actually ran.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -34,11 +32,11 @@ struct Node {
   RecordingRelay* relay = nullptr;
 };
 
-Node make_node(EngineConfig config = {}) {
+Node make_node() {
   auto algorithm = std::make_unique<RecordingRelay>();
   Node n;
   n.relay = algorithm.get();
-  n.engine = std::make_unique<Engine>(config, std::move(algorithm));
+  n.engine = std::make_unique<Engine>(EngineConfig{}, std::move(algorithm));
   return n;
 }
 
@@ -63,7 +61,7 @@ std::shared_ptr<SinkApp> stream_big(Node& a, Node& b) {
 
 TEST(WirePath, PooledLargeFramesDeliverIntactWithHighHitRate) {
   Node a = make_node();
-  Node b = make_node();  // wire_payload_pool defaults on
+  Node b = make_node();
   auto sink = stream_big(a, b);
   EXPECT_EQ(sink->stats(0).corrupt, 0u);
 
@@ -79,60 +77,6 @@ TEST(WirePath, PooledLargeFramesDeliverIntactWithHighHitRate) {
   // not by the message count.
   EXPECT_LE(misses, 12.0);
   EXPECT_GE(hits, static_cast<double>(kMsgs) - 12.0);
-}
-
-TEST(WirePath, PoolKnobOffRestoresDedicatedAllocations) {
-  EngineConfig no_pool;
-  no_pool.wire_payload_pool = false;
-  Node a = make_node();
-  Node b = make_node(no_pool);
-  auto sink = stream_big(a, b);
-  EXPECT_EQ(sink->stats(0).corrupt, 0u);
-  EXPECT_EQ(counter_value(b.engine->metrics().snapshot(),
-                          obs::names::kPoolSlabAcquiresTotal),
-            0.0);
-}
-
-TEST(WirePath, ZerocopySendPathCompletesAndDeliversIntact) {
-  EngineConfig zc;
-  zc.wire_zerocopy_min_bytes = 16 * 1024;
-  Node a = make_node(zc);
-  Node b = make_node();
-  auto sink = stream_big(a, b);
-  EXPECT_EQ(sink->stats(0).corrupt, 0u);
-
-  // Stop the sender first: sender_main's teardown drain reaps the last
-  // completions before the snapshot is taken.
-  a.engine->stop();
-  a.engine->join();
-  const auto snap = a.engine->metrics().snapshot();
-  const double sends =
-      counter_value(snap, obs::names::kLinkZerocopySendsTotal);
-  const double completions =
-      counter_value(snap, obs::names::kLinkZerocopyCompletionsTotal);
-  if (sends == 0.0) {
-    GTEST_SKIP() << "kernel lacks SO_ZEROCOPY; plain sends were used";
-  }
-  // Every flagged send's completion id was reaped, so no payload page
-  // was released while the kernel could still read it.
-  EXPECT_EQ(completions, sends);
-  // Loopback degrades every zerocopy transmit to an internal copy and
-  // says so; if this ever fails the kernel genuinely pinned our pages —
-  // which the in-flight tracking already handles.
-  EXPECT_EQ(counter_value(snap, obs::names::kLinkZerocopyCopiedTotal),
-            completions);
-  b.engine->stop();
-  b.engine->join();
-}
-
-TEST(WirePath, ZerocopyOffByDefault) {
-  Node a = make_node();
-  Node b = make_node();
-  auto sink = stream_big(a, b);
-  EXPECT_EQ(sink->stats(0).corrupt, 0u);
-  EXPECT_EQ(counter_value(a.engine->metrics().snapshot(),
-                          obs::names::kLinkZerocopySendsTotal),
-            0.0);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Wire-path batching tests (DESIGN.md §8): write_batch / FrameReader
-// against the legacy write_msg / read_msg path over real loopback TCP.
-// The two paths must be byte-identical on the wire, so every combination
-// of old and new sender/receiver interoperates; the robustness cases
+// against the control-plane write_msg / read_msg path over real loopback
+// TCP. The two paths must be byte-identical on the wire, so every
+// combination of sender and reader interoperates; the robustness cases
 // (corruption, truncation) are exercised against both readers.
 #include "net/framing.h"
 
@@ -71,7 +71,8 @@ TEST(WireBatch, LegacyWritesReadByFrameReader) {
   auto pair = make_pair();
   const auto msgs = make_msgs(50, 100);
   for (const auto& m : msgs) ASSERT_TRUE(write_msg(pair.client, *m));
-  FrameReader reader(pair.server);
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
   for (const auto& want : msgs) {
     expect_same_payload(reader.next(), want);
   }
@@ -84,7 +85,8 @@ TEST(WireBatch, BatchedWriteReadByFrameReader) {
   auto pair = make_pair();
   const auto msgs = make_msgs(64, 200);
   ASSERT_TRUE(write_batch(pair.client, msgs.data(), msgs.size()));
-  FrameReader reader(pair.server);
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
   for (const auto& want : msgs) {
     expect_same_payload(reader.next(), want);
   }
@@ -94,7 +96,8 @@ TEST(WireBatch, ZeroPayloadMessages) {
   auto pair = make_pair();
   const auto msgs = make_msgs(10, 0);
   ASSERT_TRUE(write_batch(pair.client, msgs.data(), msgs.size()));
-  FrameReader reader(pair.server);
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
   for (const auto& want : msgs) {
     MsgPtr got = reader.next();
     ASSERT_NE(got, nullptr);
@@ -121,7 +124,8 @@ TEST(FrameReader, FramesStraddlingChunkBoundaries) {
   // compaction path (the drained-chunk rewind is never available).
   const auto msgs = make_msgs(40, 100);
   ASSERT_TRUE(write_batch(pair.client, msgs.data(), msgs.size()));
-  FrameReader reader(pair.server, 256);
+  SlabPool pool;
+  FrameReader reader(pair.server, pool, 256);
   std::vector<MsgPtr> got;
   for (std::size_t i = 0; i < msgs.size(); ++i) {
     got.push_back(reader.next());
@@ -137,7 +141,8 @@ TEST(FrameReader, BufferedReflectsDecodableFrames) {
   auto pair = make_pair();
   const auto msgs = make_msgs(8, 128);
   ASSERT_TRUE(write_batch(pair.client, msgs.data(), msgs.size()));
-  FrameReader reader(pair.server);
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
   EXPECT_FALSE(reader.buffered());  // nothing received yet
   expect_same_payload(reader.next(), msgs[0]);
   // The first refill pulled the whole ~1.2 KB batch from the socket: the
@@ -158,7 +163,8 @@ TEST(FrameReader, SlicesOutliveTheReader) {
   ASSERT_TRUE(write_batch(pair.client, msgs.data(), msgs.size()));
   std::vector<MsgPtr> got;
   {
-    FrameReader reader(pair.server);
+    SlabPool pool;
+    FrameReader reader(pair.server, pool);
     for (std::size_t i = 0; i < msgs.size(); ++i) {
       got.push_back(reader.next());
       ASSERT_NE(got.back(), nullptr);
@@ -167,24 +173,6 @@ TEST(FrameReader, SlicesOutliveTheReader) {
   for (std::size_t i = 0; i < msgs.size(); ++i) {
     expect_same_payload(got[i], msgs[i]);
   }
-}
-
-TEST(FrameReader, LargeFrameFallsBackToDedicatedAllocation) {
-  auto pair = make_pair();
-  const auto big = make_msgs(1, 1000);
-  const auto small = make_msgs(1, 32);
-  std::thread writer([&] {
-    EXPECT_TRUE(write_msg(pair.client, *big[0]));
-    EXPECT_TRUE(write_msg(pair.client, *small[0]));
-  });
-  FrameReader reader(pair.server, 256);  // frame >> chunk
-  MsgPtr got_big = reader.next();
-  ASSERT_NE(got_big, nullptr);
-  expect_same_payload(got_big, big[0]);
-  EXPECT_FALSE(got_big->payload()->is_slice());  // dedicated vector
-  // The stream stays framed after the fallback path.
-  expect_same_payload(reader.next(), small[0]);
-  writer.join();
 }
 
 // --- Large-frame edges: chunk-size boundaries, pooled slabs ---------------
@@ -200,7 +188,7 @@ TEST(FrameReader, FrameExactlyAtChunkSizeStaysOnSlicePath) {
     EXPECT_TRUE(write_msg(pair.client, *after[0]));
   });
   SlabPool pool;
-  FrameReader reader(pair.server, 256, &pool);
+  FrameReader reader(pair.server, pool, 256);
   MsgPtr got = reader.next();
   expect_same_payload(got, at[0]);
   EXPECT_TRUE(got->payload()->is_slice());
@@ -215,7 +203,7 @@ TEST(FrameReader, FrameOneByteOverChunkTakesThePooledLargePath) {
   std::thread writer(
       [&] { EXPECT_TRUE(write_msg(pair.client, *over[0])); });
   SlabPool pool;
-  FrameReader reader(pair.server, 256, &pool);
+  FrameReader reader(pair.server, pool, 256);
   MsgPtr got = reader.next();
   expect_same_payload(got, over[0]);
   EXPECT_TRUE(got->payload()->is_slice());  // slab-backed view
@@ -236,7 +224,7 @@ TEST(FrameReader, LargeHeaderStraddlingSlicedChunkCarryOver) {
     EXPECT_TRUE(write_msg(pair.client, *big[0]));
   });
   SlabPool pool;
-  FrameReader reader(pair.server, 256, &pool);
+  FrameReader reader(pair.server, pool, 256);
   MsgPtr got_small = reader.next();
   expect_same_payload(got_small, small[0]);
   EXPECT_TRUE(got_small->payload()->is_slice());
@@ -258,7 +246,7 @@ TEST(FrameReader, LargeFramesInterleavedWithSlicedSmallFrames) {
     for (const auto& m : msgs) EXPECT_TRUE(write_msg(pair.client, *m));
   });
   SlabPool pool;
-  FrameReader reader(pair.server, 256, &pool);
+  FrameReader reader(pair.server, pool, 256);
   std::vector<MsgPtr> got;  // hold all payloads live across the stream
   for (std::size_t i = 0; i < msgs.size(); ++i) {
     got.push_back(reader.next());
@@ -284,7 +272,7 @@ TEST(FrameReader, SteadyLargeStreamRecyclesOneSlab) {
     for (const auto& m : msgs) EXPECT_TRUE(write_msg(pair.client, *m));
   });
   SlabPool pool;
-  FrameReader reader(pair.server, 256, &pool);
+  FrameReader reader(pair.server, pool, 256);
   for (const auto& want : msgs) {
     // Release each payload before reading the next — the steady state of
     // a switch that forwards and drops its reference.
@@ -293,26 +281,6 @@ TEST(FrameReader, SteadyLargeStreamRecyclesOneSlab) {
   EXPECT_EQ(pool.misses(), 1u);  // one allocation for the whole stream
   EXPECT_EQ(pool.hits(), 19u);
   writer.join();
-}
-
-TEST(FrameReader, PooledAndLegacyReadersDecodeTheSameStream) {
-  // Same byte stream into a pooled reader and a pool-less reader: the
-  // pooled fast path may not change a single decoded bit.
-  const auto msgs = make_msgs(6, 700);
-  for (const bool pooled : {true, false}) {
-    auto pair = make_pair();
-    std::thread writer([&] {
-      EXPECT_TRUE(write_batch(pair.client, msgs.data(), msgs.size()));
-    });
-    SlabPool pool;
-    FrameReader reader(pair.server, 256, pooled ? &pool : nullptr);
-    for (const auto& want : msgs) {
-      MsgPtr got = reader.next();
-      expect_same_payload(got, want);
-      EXPECT_EQ(got->payload()->is_slice(), pooled);
-    }
-    writer.join();
-  }
 }
 
 TEST(FrameReader, PooledPayloadOutlivesReaderAndPool) {
@@ -324,7 +292,7 @@ TEST(FrameReader, PooledPayloadOutlivesReaderAndPool) {
   {
     SlabPool pool;
     {
-      FrameReader reader(pair.server, 256, &pool);
+      FrameReader reader(pair.server, pool, 256);
       got = reader.next();
       ASSERT_NE(got, nullptr);
     }  // reader destroyed
@@ -350,7 +318,8 @@ TEST(FrameReader, RejectsOversizePayloadHeader) {
   auto pair = make_pair();
   const auto junk = oversize_header();
   ASSERT_TRUE(pair.client.write_all(junk.data(), junk.size()));
-  FrameReader reader(pair.server);
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
   EXPECT_EQ(reader.next(), nullptr);
   EXPECT_TRUE(reader.corrupt());
   EXPECT_EQ(reader.next(), nullptr);  // failed permanently
@@ -362,7 +331,8 @@ TEST(FrameReader, RejectsCorruptHeaderMidStream) {
   ASSERT_TRUE(write_batch(pair.client, good.data(), good.size()));
   const auto junk = oversize_header();
   ASSERT_TRUE(pair.client.write_all(junk.data(), junk.size()));
-  FrameReader reader(pair.server);
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
   for (const auto& want : good) expect_same_payload(reader.next(), want);
   EXPECT_EQ(reader.next(), nullptr);
   EXPECT_TRUE(reader.corrupt());
@@ -373,7 +343,8 @@ TEST(FrameReader, TruncationMidHeaderIsEofNotCorruption) {
   const u8 partial[10] = {};
   ASSERT_TRUE(pair.client.write_all(partial, sizeof(partial)));
   pair.client.shutdown_write();
-  FrameReader reader(pair.server);
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
   EXPECT_EQ(reader.next(), nullptr);
   EXPECT_FALSE(reader.corrupt());
 }
@@ -389,7 +360,8 @@ TEST(FrameReader, TruncationMidPayloadIsEofNotCorruption) {
   const u8 partial[10] = {};
   ASSERT_TRUE(pair.client.write_all(partial, sizeof(partial)));
   pair.client.shutdown_write();
-  FrameReader reader(pair.server);
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
   EXPECT_EQ(reader.next(), nullptr);
   EXPECT_FALSE(reader.corrupt());
 }
@@ -399,13 +371,14 @@ TEST(FrameReader, TruncationMidLargeFrame) {
   codec::Header h;
   h.type = MsgType::kData;
   h.origin = NodeId::loopback(1);
-  h.payload_size = 100000;  // forces the read_large fallback
+  h.payload_size = 100000;  // forces the large-frame path
   const auto header = codec::encode_header(h);
   ASSERT_TRUE(pair.client.write_all(header.data(), header.size()));
   const u8 partial[64] = {};
   ASSERT_TRUE(pair.client.write_all(partial, sizeof(partial)));
   pair.client.shutdown_write();
-  FrameReader reader(pair.server, 256);
+  SlabPool pool;
+  FrameReader reader(pair.server, pool, 256);
   EXPECT_EQ(reader.next(), nullptr);
   EXPECT_FALSE(reader.corrupt());
 }
@@ -437,7 +410,8 @@ TEST(FrameReader, EofOnCleanBoundary) {
   const auto msgs = make_msgs(2, 40);
   ASSERT_TRUE(write_batch(pair.client, msgs.data(), msgs.size()));
   pair.client.shutdown_write();
-  FrameReader reader(pair.server);
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
   expect_same_payload(reader.next(), msgs[0]);
   expect_same_payload(reader.next(), msgs[1]);
   EXPECT_EQ(reader.next(), nullptr);

@@ -1,12 +1,9 @@
-// Reactor tests (DESIGN.md §9), three layers:
+// Reactor tests (DESIGN.md §9), two layers:
 //   * Worker/Reactor unit tests — task FIFO, timers + cancellation, and
 //     fd readiness callbacks over a socketpair;
-//   * a PeerLink-level fd/thread leak regression — open/close 200
-//     reactor-mode links and assert process fd and thread counts return
-//     to baseline (the shared pool is created once and excluded);
-//   * the reactor↔legacy interop matrix — all four combinations of
-//     EngineConfig::reactor_threads on a two-node stream must deliver a
-//     byte-identical stream (SinkApp checks payload integrity).
+//   * a PeerLink-level fd/thread leak regression — open/close 200 links
+//     and assert process fd and thread counts return to baseline (the
+//     pool is created once and excluded).
 #include "net/reactor/reactor.h"
 
 #include <gtest/gtest.h>
@@ -20,26 +17,18 @@
 #include <string>
 #include <vector>
 
-#include "apps/sink.h"
-#include "apps/source.h"
-#include "engine/engine.h"
 #include "engine/peer_link.h"
 #include "../engine/engine_test_util.h"
 
 namespace iov {
 namespace {
 
-using apps::BackToBackSource;
-using apps::SinkApp;
-using engine::Engine;
 using engine::EngineConfig;
-using engine::Inbound;
 using engine::InternalSink;
 using engine::PeerLink;
 using reactor::EventHandler;
 using reactor::Reactor;
 using reactor::Worker;
-using test::RecordingRelay;
 using test::wait_until;
 
 // ---------------------------------------------------------------------------
@@ -178,9 +167,10 @@ class NullSink final : public InternalSink {
 };
 
 TEST(ReactorLeak, TwoHundredLinkCyclesLeakNothing) {
-  // One shared fixture outside the measured loop: the pool (persists by
+  // One shared fixture outside the measured loop: the pools (persist by
   // design), registries, and emulators.
   Reactor pool(1);
+  SlabPool slabs;
   obs::MetricsRegistry metrics_a;
   obs::MetricsRegistry metrics_b;
   BandwidthEmulator bandwidth;
@@ -200,10 +190,9 @@ TEST(ReactorLeak, TwoHundredLinkCyclesLeakNothing) {
     ASSERT_TRUE(server.has_value());
 
     PeerLink a(self_a, self_b, std::move(*client), config, bandwidth,
-               RealClock::instance(), sink, metrics_a, nullptr, &pool.pick());
+               RealClock::instance(), sink, metrics_a, slabs, pool.pick());
     PeerLink b(self_b, self_a, std::move(*server), config, bandwidth,
-               RealClock::instance(), sink, metrics_b, nullptr, &pool.pick());
-    ASSERT_TRUE(a.reactor_mode());
+               RealClock::instance(), sink, metrics_b, slabs, pool.pick());
     a.start();
     b.start();
 
@@ -237,64 +226,6 @@ TEST(ReactorLeak, TwoHundredLinkCyclesLeakNothing) {
   EXPECT_EQ(open_fd_count(), fd_base);
   EXPECT_EQ(thread_count(), thread_base);
 }
-
-// ---------------------------------------------------------------------------
-// Reactor ↔ legacy interop matrix (ISSUE 9 satellite)
-// ---------------------------------------------------------------------------
-
-struct Node {
-  std::unique_ptr<Engine> engine;
-  RecordingRelay* relay = nullptr;  // owned by engine
-};
-
-Node make_node(int reactor_threads) {
-  auto algorithm = std::make_unique<RecordingRelay>();
-  Node n;
-  n.relay = algorithm.get();
-  EngineConfig config;
-  config.reactor_threads = reactor_threads;
-  n.engine = std::make_unique<Engine>(config, std::move(algorithm));
-  return n;
-}
-
-constexpr u32 kApp = 1;
-constexpr std::size_t kPayload = 1000;
-constexpr u64 kMsgs = 300;
-
-/// Streams kMsgs from a sender in `src_mode` to a sink in `dst_mode` and
-/// requires a loss-free, duplicate-free, corruption-free delivery. The
-/// stream also exercises both directions of the single persistent
-/// connection: kJoin/QoS control traffic flows sink→source on the same
-/// socket.
-void run_interop(int src_mode, int dst_mode) {
-  Node a = make_node(src_mode);
-  Node b = make_node(dst_mode);
-  auto sink = std::make_shared<SinkApp>(kPayload);
-  a.engine->register_app(kApp,
-                         std::make_shared<BackToBackSource>(kPayload, kMsgs));
-  b.engine->register_app(kApp, sink);
-  ASSERT_TRUE(b.engine->start());
-  ASSERT_TRUE(a.engine->start());
-  b.relay->set_consume(kApp, true);
-  a.engine->post(Msg::control(MsgType::kControl, NodeId(), kControlApp,
-                              RelayAlgorithm::kAddChild,
-                              static_cast<i32>(kApp),
-                              b.engine->self().to_string()));
-  a.engine->deploy_source(kApp);
-
-  ASSERT_TRUE(wait_until([&] {
-    return sink->stats(RealClock::instance().now()).distinct == kMsgs;
-  }));
-  const auto stats = sink->stats(RealClock::instance().now());
-  EXPECT_EQ(stats.msgs, kMsgs);
-  EXPECT_EQ(stats.duplicates, 0u);
-  EXPECT_EQ(stats.corrupt, 0u);
-}
-
-TEST(ReactorInterop, ReactorToReactor) { run_interop(-1, -1); }
-TEST(ReactorInterop, ReactorToLegacy) { run_interop(-1, 0); }
-TEST(ReactorInterop, LegacyToReactor) { run_interop(0, -1); }
-TEST(ReactorInterop, LegacyToLegacy) { run_interop(0, 0); }
 
 }  // namespace
 }  // namespace iov

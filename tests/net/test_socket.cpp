@@ -93,21 +93,6 @@ TEST(Socket, ShutdownBothWakesBlockedReader) {
   reader.join();
 }
 
-TEST(Socket, ReadTimeoutUnblocksIdleReads) {
-  auto pair = make_pair();
-  ASSERT_TRUE(pair.server.set_read_timeout(millis(50)));
-  char buf[4];
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(pair.server.read_all(buf, sizeof(buf)));  // EAGAIN
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_GE(elapsed, std::chrono::milliseconds(40));
-  EXPECT_LT(elapsed, std::chrono::milliseconds(500));
-  // Restoring blocking mode works and data still flows.
-  ASSERT_TRUE(pair.server.set_read_timeout(0));
-  ASSERT_TRUE(pair.client.write_all("abcd", 4));
-  EXPECT_TRUE(pair.server.read_all(buf, sizeof(buf)));
-}
-
 TEST(Socket, PeerAndLocalAddr) {
   auto pair = make_pair();
   const auto peer = pair.client.peer_addr();
@@ -185,112 +170,6 @@ TEST(Framing, ReadMsgRejectsCorruptHeader) {
   for (int i = 20; i < 24; ++i) bad[i] = 0xff;
   ASSERT_TRUE(pair.client.write_all(bad, sizeof(bad)));
   EXPECT_EQ(read_msg(pair.server), nullptr);
-}
-
-// --- MSG_ZEROCOPY mechanics (DESIGN.md §8) --------------------------------
-// Loopback accepts SO_ZEROCOPY but always completes with the "copied"
-// degradation — which is exactly what these tests verify: the flag round
-// trip, completion-id accounting, and byte-perfect data, independent of
-// whether the kernel actually pinned pages.
-
-TEST(Zerocopy, FlaggedWriteDeliversIdenticalBytesAndCompletes) {
-  auto pair = make_pair();
-  if (!pair.client.enable_zerocopy()) {
-    GTEST_SKIP() << "kernel lacks SO_ZEROCOPY";
-  }
-  std::vector<u8> out(200 * 1024);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = static_cast<u8>(i * 31 + 7);
-  }
-  std::thread reader_thread([&] {
-    std::vector<u8> in(out.size());
-    EXPECT_TRUE(pair.server.read_all(in.data(), in.size()));
-    EXPECT_EQ(in, out);
-  });
-  iovec iov{out.data(), out.size()};
-  u64 syscalls = 0;
-  u64 zc_calls = 0;
-  ASSERT_TRUE(pair.client.writev_all(&iov, 1, &syscalls, /*zerocopy=*/true,
-                                     &zc_calls));
-  EXPECT_GE(syscalls, 1u);
-  reader_thread.join();
-
-  // Completion ids 0..zc_calls-1 must all surface on the error queue.
-  // (zc_calls can be 0 only if every send fell back on ENOBUFS; then
-  // there is nothing to reap and the loop exits immediately.)
-  std::vector<TcpConn::ZcRange> ranges;
-  u64 completed = 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (completed < zc_calls &&
-         std::chrono::steady_clock::now() < deadline) {
-    ranges.clear();
-    if (pair.client.reap_zerocopy(ranges) == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      continue;
-    }
-    for (const auto& r : ranges) completed += r.hi - r.lo + 1;
-  }
-  EXPECT_EQ(completed, zc_calls);
-}
-
-TEST(Zerocopy, WriteBatchZerocopyInteropsWithFrameReader) {
-  auto pair = make_pair();
-  if (!pair.client.enable_zerocopy()) {
-    GTEST_SKIP() << "kernel lacks SO_ZEROCOPY";
-  }
-  std::vector<MsgPtr> msgs;
-  for (u32 i = 0; i < 8; ++i) {
-    msgs.push_back(Msg::data(NodeId::loopback(1), 7, i,
-                             Buffer::pattern(20 * 1024, i)));
-  }
-  std::thread writer([&] {
-    std::vector<codec::HeaderBytes> headers;
-    u64 zc_calls = 0;
-    EXPECT_TRUE(write_batch_zerocopy(pair.client, msgs.data(), msgs.size(),
-                                     headers, nullptr, &zc_calls));
-    // Headers and payloads must stay alive until completions arrive —
-    // reap before letting them go out of scope.
-    std::vector<TcpConn::ZcRange> ranges;
-    u64 completed = 0;
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (completed < zc_calls &&
-           std::chrono::steady_clock::now() < deadline) {
-      ranges.clear();
-      if (pair.client.reap_zerocopy(ranges) == 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        continue;
-      }
-      for (const auto& r : ranges) completed += r.hi - r.lo + 1;
-    }
-    EXPECT_EQ(completed, zc_calls);
-  });
-  FrameReader reader(pair.server);
-  for (const auto& want : msgs) {
-    MsgPtr got = reader.next();
-    ASSERT_NE(got, nullptr);
-    EXPECT_EQ(got->seq(), want->seq());
-    ASSERT_EQ(got->payload_size(), want->payload_size());
-    EXPECT_EQ(got->payload()->view(), want->payload()->view());
-  }
-  writer.join();
-}
-
-TEST(Zerocopy, PlainWritevIgnoresZerocopyWithoutOptIn) {
-  // zerocopy=false must not touch the error queue or require reaping.
-  auto pair = make_pair();
-  std::vector<u8> out(64 * 1024, 0xab);
-  iovec iov{out.data(), out.size()};
-  u64 zc_calls = 0;
-  ASSERT_TRUE(pair.client.writev_all(&iov, 1, nullptr, /*zerocopy=*/false,
-                                     &zc_calls));
-  EXPECT_EQ(zc_calls, 0u);
-  std::vector<TcpConn::ZcRange> ranges;
-  EXPECT_EQ(pair.client.reap_zerocopy(ranges), 0u);
-  std::vector<u8> in(out.size());
-  EXPECT_TRUE(pair.server.read_all(in.data(), in.size()));
-  EXPECT_EQ(in, out);
 }
 
 }  // namespace

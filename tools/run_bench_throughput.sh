@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Builds bench_throughput in Release and regenerates the committed
-# BENCH_throughput.json at the repo root: batched wire path vs the
-# legacy per-message path on a loopback pair and a 4-node relay chain
-# (DESIGN.md §8).
+# BENCH_throughput.json at the repo root: the batched wire path on a
+# loopback pair and a 4-node relay chain (DESIGN.md §8).
 #
 #   tools/run_bench_throughput.sh [--secs <s>]   # default 1.0 s/config
 set -euo pipefail

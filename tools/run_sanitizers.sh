@@ -21,10 +21,10 @@ for flavour in $FLAVOURS; do
   # tier (churn harness, streaming-churn smoke) runs here too; only the
   # minutes-scale `slow` runs (the 10k-viewer determinism test) are
   # excluded — sanitizer overhead would push them past any sane timeout.
-  # The reactor-path tier-1 tests (test_reactor and every real-socket
-  # engine suite, which default to the shared epoll reactor) are part of
-  # this run: the thread flavour is the proof that the lock-free
-  # per-link state machines race neither each other nor the engine.
+  # Every real-socket suite (test_reactor, test_peer_link and the engine
+  # suites) drives its links through PeerLink on the shared epoll
+  # reactor: the thread flavour is the proof that the lock-free per-link
+  # state machines race neither each other nor the engine.
   (cd "$BUILD" && ctest --output-on-failure -LE slow -j "$JOBS")
 done
 echo "sanitizer runs complete: $FLAVOURS"
