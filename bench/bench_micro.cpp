@@ -196,7 +196,7 @@ struct WirePair {
                               seconds(1.0));
     if (!client || !wait_readable(listener->fd(), seconds(1.0))) return false;
     server = listener->accept();
-    return server.has_value();
+    return server.has_value() && server->set_nonblocking(false);
   }
 };
 

@@ -1,23 +1,28 @@
-// Scale harness for the shared epoll reactor (DESIGN.md §9): N real
+// Scale harness for engines as reactor citizens (DESIGN.md §9): N real
 // engines in one process, every link a real loopback TCP connection,
 // arranged as a fanout-8 dissemination tree (parent of node i is
 // (i-1)/8). The root streams a CBR feed; every interior node relays it
 // to its children and every leaf consumes it through a SinkApp.
 //
-// What this measures — the resource budgets the reactor exists to fix:
-//   * OS threads: one engine thread per node + the fixed reactor pool,
-//     INDEPENDENT of the node×peer count (the paper's thread-per-link
-//     design needs two more threads per link per side, ~5x the process
-//     total at fanout 8).
-//   * open fds: listener + wake eventfd + one socket per link end.
-//   * VmRSS per node.
+// What this measures — the per-node fixed costs the reactor removes:
+//   * OS threads: the fixed reactor pool, INDEPENDENT of the node and
+//     link counts (the paper's design needs one engine thread per node
+//     plus two threads per link end);
+//   * open fds: listener + one socket per link end;
+//   * VmRSS per node;
+//   * steady-state CPU per hop-message (one message crossing one link,
+//     counted at the receiving end), and voluntary / nonvoluntary
+//     context switches per hop-message (summed over every thread's
+//     /proc/self/task/<tid>/status);
+//   * idle CPU per node-second with every link open and the source
+//     withdrawn (paper §2.4: an idle node costs ~0 CPU);
 // plus delivery: distinct messages and corruption at the leaf sinks
 // (payload pattern check), so a silently-wedged tree cannot pass.
 //
 // Budgets asserted (exit non-zero on violation):
-//   * threads <= nodes + reactor workers + 16 slack — i.e. ZERO
-//     per-link threads;
+//   * threads <= reactor workers + 16 slack, whatever the node count;
 //   * fds <= 4 per node + 2 per link + 64 slack;
+//   * idle CPU <= 50 us per node-second (not in sanitizer builds);
 //   * every leaf sink saw data, no corruption anywhere.
 //
 // Flags:
@@ -29,6 +34,7 @@
 //                 1000-node run)
 #include <dirent.h>
 
+#include <ctime>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -42,6 +48,7 @@
 #include "bench_util.h"
 #include "common/clock.h"
 #include "engine/engine.h"
+#include "net/reactor/reactor.h"
 
 namespace {
 
@@ -74,6 +81,40 @@ std::size_t thread_count() {
   return 0;
 }
 
+/// Context switches of every live thread: voluntary (blocked) and
+/// nonvoluntary (preempted), from /proc/self/task/<tid>/status.
+struct CtxSwitches {
+  u64 voluntary = 0;
+  u64 nonvoluntary = 0;
+};
+
+CtxSwitches ctx_switches() {
+  CtxSwitches c;
+  DIR* dir = ::opendir("/proc/self/task");
+  if (dir == nullptr) return c;
+  while (const dirent* e = ::readdir(dir)) {
+    if (e->d_name[0] == '.') continue;
+    std::ifstream status(std::string("/proc/self/task/") + e->d_name +
+                         "/status");
+    std::string line;
+    while (std::getline(status, line)) {
+      if (line.rfind("voluntary_ctxt_switches:", 0) == 0) {
+        c.voluntary += std::stoull(line.substr(24));
+      } else if (line.rfind("nonvoluntary_ctxt_switches:", 0) == 0) {
+        c.nonvoluntary += std::stoull(line.substr(27));
+      }
+    }
+  }
+  ::closedir(dir);
+  return c;
+}
+
+double process_cpu_seconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
 /// VmRSS in bytes.
 std::size_t rss_bytes() {
   std::ifstream status("/proc/self/status");
@@ -91,6 +132,17 @@ struct Node {
   RelayAlgorithm* relay = nullptr;
   std::shared_ptr<apps::SinkApp> sink;  // leaves only
 };
+
+/// Messages every node has received over its links so far.
+u64 hop_messages(const std::vector<Node>& nodes) {
+  u64 n = 0;
+  for (const auto& node : nodes) {
+    for (const auto& link : node.engine->snapshot().links) {
+      n += link.up.total_msgs;
+    }
+  }
+  return n;
+}
 
 }  // namespace
 
@@ -122,7 +174,8 @@ int main(int argc, char** argv) {
       strf("Reactor scale: %zu real-socket nodes, fanout-%zu tree",
            nodes_n, kFanout)
           .c_str(),
-      "total OS threads independent of node x peer count (DESIGN.md 9)");
+      "total OS threads independent of node and link counts, idle "
+      "CPU ~0 (DESIGN.md 9)");
 
   RealClock clock;
   const std::size_t fd_base = open_fd_count();
@@ -182,9 +235,15 @@ int main(int argc, char** argv) {
   for (const auto& n : nodes) {
     if (n.sink) d0 += n.sink->stats(clock.now()).distinct;
   }
+  const u64 hops0 = hop_messages(nodes);
+  const CtxSwitches ctx0 = ctx_switches();
+  const double cpu0 = process_cpu_seconds();
   const TimePoint t0 = clock.now();
   sleep_for(seconds(secs));
   const double elapsed = to_seconds(clock.now() - t0);
+  const double cpu1 = process_cpu_seconds();
+  const CtxSwitches ctx1 = ctx_switches();
+  const u64 hops1 = hop_messages(nodes);
 
   const std::size_t threads = thread_count() - thread_base;
   const std::size_t fds = open_fd_count() - fd_base;
@@ -206,6 +265,25 @@ int main(int argc, char** argv) {
   links /= 2;  // every link counted once per side
   const double leaf_rate =
       static_cast<double>(delivered - d0) / elapsed / leaves;
+  const double hops = static_cast<double>(hops1 - hops0);
+  const double cpu_us_per_hop = hops > 0 ? (cpu1 - cpu0) * 1e6 / hops : -1;
+  const double vcsw_per_hop =
+      hops > 0 ? static_cast<double>(ctx1.voluntary - ctx0.voluntary) / hops
+               : -1;
+  const double ivcsw_per_hop =
+      hops > 0
+          ? static_cast<double>(ctx1.nonvoluntary - ctx0.nonvoluntary) / hops
+          : -1;
+
+  // Idle window: the source is withdrawn, every link stays open.
+  nodes[0].engine->terminate_source(kApp);
+  sleep_for(millis(500));
+  const double idle_cpu0 = process_cpu_seconds();
+  const TimePoint i0 = clock.now();
+  sleep_for(seconds(smoke ? 1.0 : 2.0));
+  const double idle_s = to_seconds(clock.now() - i0);
+  const double idle_us_per_node_s =
+      (process_cpu_seconds() - idle_cpu0) * 1e6 / idle_s / nodes_n;
 
   for (auto& n : nodes) n.engine->stop();
   for (auto& n : nodes) n.engine->join();
@@ -220,6 +298,12 @@ int main(int argc, char** argv) {
               static_cast<double>(threads) / nodes_n,
               static_cast<double>(fds) / nodes_n,
               static_cast<double>(rss) / nodes_n / 1024.0);
+  std::printf(
+      "steady state: %.0f hop-msgs/s, %.2f us CPU per hop-msg, %.3f "
+      "voluntary + %.3f nonvoluntary context switches per hop-msg\n",
+      hops / elapsed, cpu_us_per_hop, vcsw_per_hop, ivcsw_per_hop);
+  std::printf("idle, links open: %.2f us CPU per node-second\n",
+              idle_us_per_node_s);
 
   std::FILE* f = std::fopen(out.c_str(), "w");
   if (f == nullptr) {
@@ -227,18 +311,26 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f,
-               "{\n  \"bench\": \"scale\",\n"
+               "{\n  \"bench\": \"scale\",\n  %s,\n"
                "  \"nodes\": %zu,\n  \"links\": %zu,\n  \"fanout\": %zu,\n"
-               "  \"payload_bytes\": %zu,\n"
+               "  \"payload_bytes\": %zu,\n  \"window_seconds\": %.1f,\n"
                "  \"threads\": %zu,\n  \"threads_per_node\": %.3f,\n"
                "  \"fds\": %zu,\n  \"fds_per_node\": %.3f,\n"
                "  \"rss_bytes\": %zu,\n  \"rss_per_node_kb\": %.1f,\n"
+               "  \"hop_msgs_per_sec\": %.0f,\n"
+               "  \"cpu_us_per_hop_msg\": %.2f,\n"
+               "  \"voluntary_ctx_switches_per_hop_msg\": %.3f,\n"
+               "  \"nonvoluntary_ctx_switches_per_hop_msg\": %.3f,\n"
+               "  \"idle_cpu_us_per_node_s\": %.2f,\n"
                "  \"leaves\": %zu,\n  \"delivered_distinct\": %llu,\n"
                "  \"leaf_msgs_per_sec\": %.2f,\n  \"corrupt\": %llu\n}\n",
-               nodes_n, links, kFanout, kPayload, threads,
+               host_fingerprint_json().c_str(), nodes_n, links, kFanout,
+               kPayload, secs, threads,
                static_cast<double>(threads) / nodes_n, fds,
                static_cast<double>(fds) / nodes_n, rss,
-               static_cast<double>(rss) / nodes_n / 1024.0, leaves,
+               static_cast<double>(rss) / nodes_n / 1024.0, hops / elapsed,
+               cpu_us_per_hop, vcsw_per_hop, ivcsw_per_hop,
+               idle_us_per_node_s, leaves,
                static_cast<unsigned long long>(delivered), leaf_rate,
                static_cast<unsigned long long>(corrupt));
   std::fclose(f);
@@ -246,10 +338,10 @@ int main(int argc, char** argv) {
 
   // --- Budgets ---------------------------------------------------------------
   bool fail = false;
-  // Zero per-link threads: one engine thread per node, the fixed pool,
-  // and slack for the observer-retry machinery. A thread per link end
-  // would add 4 threads per tree edge and blow through this immediately.
-  const std::size_t thread_budget = nodes_n + 16;
+  // No thread per node or per link: the fixed pool plus slack. One
+  // thread per node would blow through this at any size past 16.
+  const std::size_t thread_budget =
+      static_cast<std::size_t>(reactor::Reactor::shared().threads()) + 16;
   if (threads > thread_budget) {
     std::fprintf(stderr, "FAIL: %zu threads > budget %zu\n", threads,
                  thread_budget);
@@ -258,6 +350,20 @@ int main(int argc, char** argv) {
   const std::size_t fd_budget = 4 * nodes_n + 2 * links + 64;
   if (fds > fd_budget) {
     std::fprintf(stderr, "FAIL: %zu fds > budget %zu\n", fds, fd_budget);
+    fail = true;
+  }
+  // CPU figures of a sanitizer build measure the instrumentation, not the
+  // engine: there the idle figure is printed but not gated.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  constexpr bool kGateCpu = false;
+#else
+  constexpr bool kGateCpu = true;
+#endif
+  constexpr double kIdleBudgetUs = 50;  // per node-second
+  if (kGateCpu && idle_us_per_node_s > kIdleBudgetUs) {
+    std::fprintf(stderr,
+                 "FAIL: idle CPU %.2f us per node-second > budget %.0f\n",
+                 idle_us_per_node_s, kIdleBudgetUs);
     fail = true;
   }
   if (starved_leaves > 0) {

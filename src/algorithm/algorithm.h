@@ -14,7 +14,7 @@
 //   * or override the typed on_*() hooks, which the base process()
 //     dispatches to. This is what the bundled algorithms do.
 //
-// Everything runs on the engine thread; no locking anywhere (§2.1).
+// Everything runs on the node's reactor worker; no locking anywhere (§2.1).
 #pragma once
 
 #include <string>

@@ -15,7 +15,8 @@
 // sockets and inside reproducible large-scale experiments.
 //
 // Threading contract: every method here may only be called from within
-// Algorithm callbacks (i.e., on the engine thread). The engine guarantees
+// Algorithm callbacks (i.e., on the node's reactor worker, the only
+// thread that runs the engine). The engine guarantees
 // the whole algorithm executes single-threaded (§2.1), so algorithms need
 // no locks — and in exchange must never block.
 #pragma once

@@ -1,28 +1,36 @@
 #include "engine/engine.h"
 
-#include <poll.h>
-#include <sys/eventfd.h>
-#include <unistd.h>
+#include <sys/epoll.h>
 
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
 #include <fstream>
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "net/reactor/reactor.h"
 #include "obs/metric_names.h"
 
 namespace iov::engine {
 
 namespace {
-constexpr Duration kIdlePollTimeout = millis(50);
 constexpr Duration kHelloTimeout = seconds(1.0);
 constexpr Duration kObserverRetry = seconds(1.0);
-/// How long the listener sits out of the poll set after EMFILE/ENFILE on
+/// How long the listener sits out of the epoll set after EMFILE/ENFILE on
 /// accept — long enough for fds to free up, short enough that peers'
 /// connect attempts (still queued in the kernel backlog) aren't dropped.
 constexpr Duration kAcceptBackoff = millis(100);
+/// How soon a deployed source that had nothing to emit is asked again.
+constexpr Duration kSourceRepoll = millis(1);
+/// Messages, and bytes, one switch pass may move before it yields the
+/// worker to the other nodes on it and to the sends it queued (the pass
+/// continues right after). The byte bound keeps large-message bursts —
+/// and the payload slabs they pin — to about a socket buffer's worth.
+constexpr std::size_t kPassBudget = 256;
+constexpr std::size_t kPassBudgetBytes = 1 << 20;
+/// Buffer capacity of the observer and proxy connections, which carry
+/// reports and traces rather than overlay traffic.
+constexpr std::size_t kControlLinkMsgs = 1024;
 }  // namespace
 
 Engine::Engine(EngineConfig config, std::unique_ptr<Algorithm> algorithm)
@@ -42,13 +50,12 @@ Engine::Engine(EngineConfig config, std::unique_ptr<Algorithm> algorithm)
       link_closes_(metrics_.counter(obs::names::kEngineLinkClosesTotal)),
       link_failures_(metrics_.counter(obs::names::kEngineLinkFailuresTotal)),
       engine_open_fds_(metrics_.gauge(obs::names::kEngineOpenFds)),
+      // Registered up front so every node's kReport carries the metric
+      // even before its first link exists.
+      loop_lag_(metrics_.histogram(obs::names::kReactorLoopLagSeconds)),
       reactor_(reactor::Reactor::shared()) {
-  // The engine thread is the only OS thread a node owns; its links run on
-  // the process-shared reactor pool.
-  metrics_.gauge(obs::names::kEngineThreads).set(1);
-  // Register the reactor lag histogram up front so every node's kReport
-  // carries the metric even before its first link exists.
-  metrics_.histogram(obs::names::kReactorLoopLagSeconds);
+  // A node owns no OS thread: it runs on a worker of the shared reactor.
+  metrics_.gauge(obs::names::kEngineThreads).set(0);
   slab_pool_.set_metrics(
       &metrics_.counter(obs::names::kPoolSlabAcquiresTotal,
                         {{"result", "hit"}}),
@@ -71,7 +78,7 @@ bool Engine::start() {
   const u64 fd_cap = raise_nofile_limit();
   static std::once_flag boot_log_once;
   std::call_once(boot_log_once, [&] {
-    IOV_LOG_INFO("engine") << "socket path: shared epoll reactor, "
+    IOV_LOG_INFO("engine") << "engines run on the shared epoll reactor, "
                            << reactor_.threads() << " worker(s); fd cap "
                            << fd_cap;
   });
@@ -81,42 +88,105 @@ bool Engine::start() {
   listener_ = std::move(*listener);
   self_ = NodeId(config_.advertised_ip, listener_.port());
 
-  wake_fd_ = Fd(::eventfd(0, EFD_NONBLOCK));
-  if (!wake_fd_.valid()) return false;
-
-  started_ = true;
+  worker_ = &reactor_.pick();
   running_.store(true, std::memory_order_release);
-  engine_thread_ = std::thread([this] { engine_main(); });
+  started_.store(true, std::memory_order_release);
+  worker_->submit([this] { boot(); });
   return true;
 }
 
+void Engine::boot() {
+  algorithm_->bind(*this);
+  start_time_ = clock_->now();
+  listening_ = worker_->add_fd(listener_.fd(), EPOLLIN, this);
+  worker_->schedule_after(
+      until_next_tick(config_.throughput_interval), this,
+      [this] { on_throughput_tick(); }, &loop_lag_);
+  if (config_.observer.valid()) {
+    worker_->schedule_after(
+        until_next_tick(config_.report_interval), this,
+        [this] { on_report_tick(); }, &loop_lag_);
+  }
+  connect_observer();
+  algorithm_->on_start();
+  for (auto& m : pre_start_) enqueue(std::move(m));
+  pre_start_.clear();
+  schedule_pass();
+}
+
 void Engine::stop() {
-  stop_requested_.store(true, std::memory_order_release);
-  wake();
+  if (!started_.load(std::memory_order_acquire)) return;
+  worker_->submit([this] {
+    stop_requested_ = true;
+    schedule_pass();
+  });
 }
 
 void Engine::join() {
-  if (engine_thread_.joinable()) engine_thread_.join();
+  if (!started_.load(std::memory_order_acquire)) return;
+  {
+    std::unique_lock<std::mutex> lock(done_mu_);
+    done_cv_.wait(lock, [&] { return done_; });
+  }
+  // Barrier: every task submitted before this point (posts, weights) has
+  // run, so none can touch the engine after the caller destroys it.
+  worker_->call([] {});
+}
+
+void Engine::teardown() {
+  // Graceful teardown (paper §2.2: "all the data structures and threads in
+  // both the engine and the algorithm will be cleared up, and the program
+  // terminates gracefully"). Runs on the worker, from a pass or a task,
+  // never inside a link's own callback, so links are destroyed directly.
+  if (torn_down_) return;
+  torn_down_ = true;
+  if (listening_) worker_->del_fd(listener_.fd());
+  listening_ = false;
+  listener_.close();
+  for (auto& [peer, link] : links_) link->stop();
+  links_.clear();
+  for (auto& [raw, conn] : inbound_) {
+    worker_->cancel_timers(raw);
+    if (conn->conn.valid()) worker_->del_fd(conn->conn.fd());
+  }
+  inbound_.clear();
+  observer_link_.reset();
+  proxy_link_.reset();
+  graveyard_.clear();
+  inbox_.clear();
+  worker_->cancel_timers(this);
+  worker_->cancel_deferred(this);
+  running_.store(false, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(done_mu_);
+  done_ = true;
+  done_cv_.notify_all();  // under the lock: the waiter may destroy us
 }
 
 void Engine::register_app(u32 app, std::shared_ptr<Application> application) {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  sources_[app].app_impl = std::move(application);
+  const auto apply = [&] { sources_[app].app_impl = std::move(application); };
+  if (started_.load(std::memory_order_acquire)) {
+    worker_->call(apply);
+  } else {
+    apply();
+  }
 }
 
 void Engine::post(MsgPtr m) {
-  {
-    std::lock_guard<std::mutex> lock(internal_mu_);
-    internal_q_.push_back(std::move(m));
+  if (!started_.load(std::memory_order_acquire)) {
+    pre_start_.push_back(std::move(m));
+    return;
   }
-  wake();
+  if (worker_->on_worker_thread()) {
+    enqueue(std::move(m));
+    return;
+  }
+  worker_->submit([this, m = std::move(m)]() mutable { enqueue(std::move(m)); });
 }
 
-void Engine::wake() {
-  if (!wake_fd_.valid()) return;
-  const u64 one = 1;
-  [[maybe_unused]] const ssize_t n =
-      ::write(wake_fd_.get(), &one, sizeof(one));
+void Engine::enqueue(MsgPtr m) {
+  if (torn_down_) return;
+  inbox_.push_back(std::move(m));
+  schedule_pass();
 }
 
 void Engine::deploy_source(u32 app) {
@@ -137,170 +207,229 @@ void Engine::join_app(u32 app, std::string_view arg) {
 Engine::Snapshot Engine::snapshot() const {
   Snapshot snap;
   snap.node = self_;
-  const TimePoint t = clock_->now();
-  std::lock_guard<std::mutex> lock(state_mu_);
-  for (const auto& [peer, link] : links_) {
-    LinkSnapshot ls;
-    ls.peer = peer;
-    ls.up.peer = peer;
-    ls.up.rate_bps = link->up_meter().rate(t);
-    ls.up.total_bytes = link->up_meter().total_bytes();
-    ls.up.total_msgs = link->up_meter().total_msgs();
-    ls.up.lost_bytes = link->up_meter().lost_bytes();
-    ls.up.lost_msgs = link->up_meter().lost_msgs();
-    ls.up.buffer_len = link->recv_buffer().size();
-    ls.up.buffer_cap = link->recv_buffer().capacity();
-    ls.down.peer = peer;
-    ls.down.rate_bps = link->down_meter().rate(t);
-    ls.down.total_bytes = link->down_meter().total_bytes();
-    ls.down.total_msgs = link->down_meter().total_msgs();
-    ls.down.lost_bytes = link->down_meter().lost_bytes();
-    ls.down.lost_msgs = link->down_meter().lost_msgs();
-    ls.down.buffer_len = link->send_buffer().size();
-    ls.down.buffer_cap = link->send_buffer().capacity();
-    snap.links.push_back(ls);
+  auto fill = [&] {
+    const TimePoint t = clock_->now();
+    for (const auto& [peer, link] : links_) {
+      LinkSnapshot ls;
+      ls.peer = peer;
+      ls.up.peer = peer;
+      ls.up.rate_bps = link->up_meter().rate(t);
+      ls.up.total_bytes = link->up_meter().total_bytes();
+      ls.up.total_msgs = link->up_meter().total_msgs();
+      ls.up.lost_bytes = link->up_meter().lost_bytes();
+      ls.up.lost_msgs = link->up_meter().lost_msgs();
+      ls.up.buffer_len = link->recv_buffer().size();
+      ls.up.buffer_cap = link->recv_buffer().capacity();
+      ls.down.peer = peer;
+      ls.down.rate_bps = link->down_meter().rate(t);
+      ls.down.total_bytes = link->down_meter().total_bytes();
+      ls.down.total_msgs = link->down_meter().total_msgs();
+      ls.down.lost_bytes = link->down_meter().lost_bytes();
+      ls.down.lost_msgs = link->down_meter().lost_msgs();
+      ls.down.buffer_len = link->send_buffer().size();
+      ls.down.buffer_cap = link->send_buffer().capacity();
+      snap.links.push_back(ls);
+    }
+    for (const auto& [app, slot] : sources_) {
+      if (slot.active) snap.source_apps.push_back(app);
+    }
+    snap.joined_apps.assign(joined_.begin(), joined_.end());
+  };
+  if (started_.load(std::memory_order_acquire)) {
+    worker_->call(fill);
+  } else {
+    fill();
   }
-  for (const auto& [app, slot] : sources_) {
-    if (slot.active) snap.source_apps.push_back(app);
-  }
-  snap.joined_apps.assign(joined_.begin(), joined_.end());
   return snap;
 }
 
-// --- Engine thread ------------------------------------------------------------
+// --- The switch pass ------------------------------------------------------------
 
-void Engine::engine_main() {
-  algorithm_->bind(*this);
-  start_time_ = clock_->now();
-  next_report_ = start_time_ + config_.report_interval;
-  next_throughput_ = start_time_ + config_.throughput_interval;
-  connect_observer();
-  algorithm_->on_start();
-
-  bool progress = false;
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    Duration timeout = 0;
-    if (!progress) {
-      const TimePoint t = clock_->now();
-      timeout = kIdlePollTimeout;
-      if (!timers_.empty()) {
-        timeout = std::min(timeout, timers_.top().due - t);
-      }
-      timeout = std::min(timeout, next_throughput_ - t);
-      if (observer_conn_) timeout = std::min(timeout, next_report_ - t);
-      timeout = std::max<Duration>(timeout, 0);
-    }
-    poll_once(timeout);
-
-    // Drain the internal queue (link-thread notifications, driver posts,
-    // protocol messages that arrived over persistent links).
-    while (true) {
-      MsgPtr m;
-      {
-        std::lock_guard<std::mutex> lock(internal_mu_);
-        if (internal_q_.empty()) break;
-        m = std::move(internal_q_.front());
-        internal_q_.pop_front();
-      }
-      dispatch(m);
-      if (stop_requested_.load(std::memory_order_acquire)) break;
-    }
-
-    fire_due_timers();
-    run_periodic();
-    progress = run_switch();
-  }
-
-  // Graceful teardown (paper §2.2: "all the data structures and threads in
-  // both the engine and the algorithm will be cleared up, and the program
-  // terminates gracefully").
-  listener_.close();
-  std::unordered_map<NodeId, std::unique_ptr<PeerLink>> links;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    links.swap(links_);
-  }
-  for (auto& [peer, link] : links) link->stop();
-  for (auto& [peer, link] : links) link->join();
-  links.clear();
-  control_conns_.clear();
-  if (observer_conn_) observer_conn_->close();
-  running_.store(false, std::memory_order_release);
+void Engine::schedule_pass() {
+  if (pass_scheduled_ || torn_down_) return;
+  pass_scheduled_ = true;
+  worker_->defer(this, [this] { run_pass(); });
 }
 
-void Engine::poll_once(Duration timeout) {
-  std::vector<pollfd> fds;
-  fds.push_back({wake_fd_.get(), POLLIN, 0});
-  // During fd-exhaustion backoff the listener sits out of the poll set
-  // (a negative fd is ignored by poll); pending connects stay queued in
-  // the kernel backlog instead of spinning accept -> EMFILE.
-  const bool accepting = clock_->now() >= accept_backoff_until_;
-  fds.push_back({accepting ? listener_.fd() : -1, POLLIN, 0});
-  const std::size_t observer_idx = fds.size();
-  if (observer_conn_) fds.push_back({observer_conn_->fd(), POLLIN, 0});
-  const std::size_t control_base = fds.size();
-  for (const auto& conn : control_conns_) {
-    fds.push_back({conn.fd(), POLLIN, 0});
-  }
-
-  const int timeout_ms = static_cast<int>(timeout / kNanosPerMilli);
-  const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
-  if (rc <= 0) return;
-
-  if (fds[0].revents & POLLIN) {
-    u64 count = 0;
-    [[maybe_unused]] const ssize_t n =
-        ::read(wake_fd_.get(), &count, sizeof(count));
-  }
-  if (fds[1].revents & (POLLIN | POLLERR)) handle_accept();
-
-  if (observer_conn_ && (fds[observer_idx].revents & (POLLIN | POLLHUP))) {
-    if (MsgPtr m = read_msg(*observer_conn_)) {
-      dispatch(m);
-    } else {
-      observer_conn_.reset();
-      next_observer_retry_ = clock_->now() + kObserverRetry;
-    }
-  }
-
-  // Transient control connections: one frame per readiness; EOF removes.
-  std::vector<std::size_t> dead;
-  for (std::size_t i = 0; i < control_conns_.size(); ++i) {
-    if (!(fds[control_base + i].revents & (POLLIN | POLLHUP))) continue;
-    if (MsgPtr m = read_msg(control_conns_[i])) {
-      dispatch(m);
-    } else {
-      dead.push_back(i);
-    }
-  }
-  for (auto it = dead.rbegin(); it != dead.rend(); ++it) {
-    control_conns_.erase(control_conns_.begin() +
-                         static_cast<std::ptrdiff_t>(*it));
+void Engine::drain_inbox() {
+  while (!inbox_.empty() && !stop_requested_) {
+    const MsgPtr m = std::move(inbox_.front());
+    inbox_.pop_front();
+    dispatch(m);
   }
 }
 
-void Engine::handle_accept() {
-  while (true) {
+void Engine::run_pass() {
+  pass_scheduled_ = false;
+  if (torn_down_) return;
+  // Same order as the paper's event loop: messages first (control plane,
+  // driver posts, failures), then the switch.
+  drain_inbox();
+  pass_msgs_ = 0;
+  pass_bytes_ = 0;
+  dialed_in_pass_ = false;
+  while (!stop_requested_ && run_switch()) {
+    if (pass_msgs_ >= kPassBudget || pass_bytes_ >= kPassBudgetBytes ||
+        dialed_in_pass_) {
+      // Yield: the other nodes on this worker, and the sends this pass
+      // queued (a new link's hello first), run before the next pass
+      // picks up where this one stopped.
+      schedule_pass();
+      break;
+    }
+  }
+  if (stop_requested_) {
+    teardown();
+    return;
+  }
+  if (source_starved_ && !repoll_armed_) {
+    repoll_armed_ = true;
+    worker_->schedule_after(kSourceRepoll, this, [this] {
+      repoll_armed_ = false;
+      schedule_pass();
+    });
+  }
+}
+
+void Engine::retire(std::unique_ptr<reactor::EventHandler> handler) {
+  graveyard_.push_back(std::move(handler));
+  if (graveyard_deferred_) return;
+  graveyard_deferred_ = true;
+  worker_->defer(this, [this] {
+    graveyard_deferred_ = false;
+    graveyard_.clear();
+  });
+}
+
+// --- Links ---------------------------------------------------------------------
+
+void Engine::on_link_message(PeerLink& /*link*/, MsgPtr m) {
+  enqueue(std::move(m));
+}
+
+void Engine::on_link_ready(PeerLink& /*link*/) { schedule_pass(); }
+
+void Engine::on_link_failed(PeerLink& link, MsgType /*kind*/) {
+  // Links fail only inside their own callbacks, never inside a pass, so
+  // the failure is handled right here; the link object itself is retired
+  // (destroyed after this callback chain).
+  if (&link == observer_link_.get()) {
+    retire(std::move(observer_link_));
+    if (!observer_retry_armed_) {
+      observer_retry_armed_ = true;
+      worker_->schedule_after(kObserverRetry, this, [this] {
+        observer_retry_armed_ = false;
+        connect_observer();
+      });
+    }
+    return;
+  }
+  if (&link == proxy_link_.get()) {
+    retire(std::move(proxy_link_));  // reports fall back to the observer
+    return;
+  }
+  if (find_link(link.peer()) != &link) return;  // already removed
+  drain_inbox();  // what the link delivered before it failed comes first
+  handle_link_failure(link.peer(), /*deliberate=*/false);
+  schedule_pass();
+}
+
+void Engine::on_first_frame(PeerLink& link) {
+  // Only the smaller node id keeps its own dial on a crossing; make sure
+  // the peer's crossing connection, which reached our listener before
+  // this frame left the peer, is accepted and attached first.
+  if (!(self_ < link.peer())) return;
+  accept_pending();
+  std::vector<InboundConn*> waiting;
+  for (const auto& [raw, conn] : inbound_) {
+    if (!conn->reader) waiting.push_back(raw);
+  }
+  for (InboundConn* raw : waiting) {
+    if (inbound_.count(raw) > 0) on_inbound_ready(*raw);
+  }
+}
+
+// --- Publicized port -------------------------------------------------------------
+
+void Engine::on_event(u32 /*events*/) { accept_pending(); }
+
+void Engine::accept_pending() {
+  while (listening_) {
     errno = 0;
     auto conn = listener_.accept();
     if (!conn) {
       if (errno == EMFILE || errno == ENFILE) {
-        // Out of descriptors: not fatal. Back off, let links close and
-        // free fds, and retry; the node itself stays up.
-        accept_backoff_until_ = clock_->now() + kAcceptBackoff;
+        // Out of descriptors: not fatal. Take the listener out of the
+        // epoll set, let links close and free fds, and retry; pending
+        // connects stay queued in the kernel backlog.
+        worker_->del_fd(listener_.fd());
+        listening_ = false;
+        worker_->schedule_after(kAcceptBackoff, this, [this] {
+          listening_ = worker_->add_fd(listener_.fd(), EPOLLIN, this);
+          accept_pending();
+        });
         log_fd_exhaustion("accept");
       }
       return;
     }
-    if (!wait_readable(conn->fd(), kHelloTimeout)) continue;  // drop
-    const auto hello = read_hello(*conn);
-    if (!hello) continue;  // bad magic: drop
-    if (hello->kind == ConnKind::kPersistent) {
-      adopt_persistent(hello->sender, std::move(*conn));
-    } else {
-      control_conns_.push_back(std::move(*conn));
-    }
+    auto owned = std::make_unique<InboundConn>(*this, std::move(*conn));
+    InboundConn* raw = owned.get();
+    if (!worker_->add_fd(raw->conn.fd(), EPOLLIN, raw)) continue;  // drop
+    inbound_.emplace(raw, std::move(owned));
+    // A peer that never completes its hello cannot hold the fd forever.
+    worker_->schedule_after(kHelloTimeout, raw, [this, raw] {
+      drop_inbound(*raw);
+    });
+    on_inbound_ready(*raw);  // the hello may have arrived with the SYN
   }
+}
+
+void Engine::on_inbound_ready(InboundConn& ic) {
+  if (!ic.reader) {
+    while (ic.got < kHelloBytes) {
+      const long n =
+          ic.conn.read_some(ic.hello.data() + ic.got, kHelloBytes - ic.got);
+      if (n > 0) {
+        ic.got += static_cast<std::size_t>(n);
+        continue;
+      }
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      drop_inbound(ic);  // EOF or error before a complete hello
+      return;
+    }
+    worker_->cancel_timers(&ic);  // the hello deadline
+    const auto hello = decode_hello(ic.hello.data());
+    if (!hello) {
+      drop_inbound(ic);  // bad magic
+      return;
+    }
+    if (hello->kind == ConnKind::kPersistent) {
+      worker_->del_fd(ic.conn.fd());
+      TcpConn conn = std::move(ic.conn);
+      const auto it = inbound_.find(&ic);
+      retire(std::move(it->second));
+      inbound_.erase(it);
+      adopt_persistent(hello->sender, std::move(conn));
+      return;
+    }
+    ic.reader.emplace(ic.conn, slab_pool_);
+  }
+  // Transient control connection: every complete frame is a message for
+  // the engine; a partial one waits, without blocking, for the rest.
+  while (MsgPtr m = ic.reader->next()) enqueue(std::move(m));
+  if (!ic.reader->would_block()) drop_inbound(ic);  // EOF, error, corrupt
+}
+
+void Engine::drop_inbound(InboundConn& ic) {
+  const auto it = inbound_.find(&ic);
+  if (it == inbound_.end()) return;
+  worker_->cancel_timers(&ic);
+  if (ic.conn.valid()) {
+    worker_->del_fd(ic.conn.fd());
+    ic.conn.close();
+  }
+  retire(std::move(it->second));
+  inbound_.erase(it);
 }
 
 void Engine::log_fd_exhaustion(const char* where) {
@@ -315,50 +444,51 @@ void Engine::log_fd_exhaustion(const char* where) {
 
 void Engine::adopt_persistent(const NodeId& peer, TcpConn conn) {
   conn.set_buffer_sizes(config_.socket_buffer_bytes);
-  if (find_link(peer) != nullptr) {
-    // Simultaneous dial: both ends agree that the connection dialed by the
-    // numerically smaller node id survives.
-    if (self_ < peer) return;  // keep ours; drop the incoming socket
-    remove_link(peer);
+  PeerLink* existing = find_link(peer);
+  // Simultaneous dial: both ends agree that the connection dialed by the
+  // numerically smaller node id survives, and nothing sent on the other
+  // one is lost. The smaller side reads the peer's dropped dial to EOF
+  // (ahead of the surviving link when it can); the larger side's new
+  // link takes over its dial's unsent messages, as it does from a link
+  // the peer gave up on and dialed again.
+  if (existing != nullptr && existing->dialed() && self_ < peer) {
+    existing->drain_crossing(std::move(conn));
+    return;
   }
   auto link = std::make_unique<PeerLink>(
       self_, peer, std::move(conn), config_, bandwidth_, *clock_, *this,
-      metrics_, slab_pool_, reactor_.pick(), /*dial_pending=*/false);
+      metrics_, slab_pool_, *worker_, /*dial_pending=*/false);
   PeerLink* raw = link.get();
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    links_[peer] = std::move(link);
+  if (existing != nullptr) {
+    raw->take_over(*existing);
+    remove_link(peer);
   }
+  links_[peer] = std::move(link);
   rr_dirty_ = true;
   raw->start();
 }
 
 PeerLink* Engine::find_link(const NodeId& peer) const {
-  std::lock_guard<std::mutex> lock(state_mu_);
   const auto it = links_.find(peer);
   return it == links_.end() ? nullptr : it->second.get();
 }
 
 void Engine::remove_link(const NodeId& peer) {
-  std::unique_ptr<PeerLink> link;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    const auto it = links_.find(peer);
-    if (it == links_.end()) return;
-    link = std::move(it->second);
-    links_.erase(it);
-  }
+  const auto it = links_.find(peer);
+  if (it == links_.end()) return;
+  std::unique_ptr<PeerLink> link = std::move(it->second);
+  links_.erase(it);
   rr_dirty_ = true;
   link->stop();
-  link->join();
+  retire(std::move(link));
 }
 
 PeerLink* Engine::get_or_dial(const NodeId& dest) {
   if (PeerLink* existing = find_link(dest)) return existing;
   // Non-blocking connect. The link exists immediately (messages queue
   // into its send buffer); the worker completes the TCP handshake + hello
-  // asynchronously, and a failed connect surfaces as kPeerFailed -> the
-  // usual kBrokenLink teardown.
+  // asynchronously, and a failed connect surfaces as the usual
+  // kBrokenLink teardown.
   auto conn = TcpConn::connect_start(dest, config_.socket_buffer_bytes);
   if (!conn) {
     if (errno == EMFILE || errno == ENFILE) log_fd_exhaustion("dial");
@@ -366,13 +496,11 @@ PeerLink* Engine::get_or_dial(const NodeId& dest) {
   }
   auto link = std::make_unique<PeerLink>(
       self_, dest, std::move(*conn), config_, bandwidth_, *clock_, *this,
-      metrics_, slab_pool_, reactor_.pick(), /*dial_pending=*/true);
+      metrics_, slab_pool_, *worker_, /*dial_pending=*/true);
   PeerLink* raw = link.get();
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    links_[dest] = std::move(link);
-  }
+  links_[dest] = std::move(link);
   rr_dirty_ = true;
+  dialed_in_pass_ = true;
   raw->start();
   return raw;
 }
@@ -394,7 +522,7 @@ void Engine::dispatch(const MsgPtr& m) {
       return;
 
     case MsgType::kTerminateNode:
-      stop_requested_.store(true, std::memory_order_release);
+      stop_requested_ = true;
       return;
 
     case MsgType::kSetBandwidth:
@@ -426,46 +554,31 @@ void Engine::dispatch(const MsgPtr& m) {
 
     case MsgType::kSDeploy: {
       const u32 app = static_cast<u32>(m->param(0));
-      bool known = false;
-      {
-        std::lock_guard<std::mutex> lock(state_mu_);
-        const auto it = sources_.find(app);
-        if (it != sources_.end() && it->second.app_impl) {
-          it->second.active = true;
-          known = true;
-        }
-      }
-      if (!known) {
+      const auto it = sources_.find(app);
+      if (it == sources_.end() || !it->second.app_impl) {
         IOV_LOG_WARN("engine") << self_.to_string() << ": sDeploy for app "
                                << app << " with no registered application";
         return;
       }
+      it->second.active = true;
       deliver_to_algorithm(m);
       return;
     }
 
     case MsgType::kSTerminate: {
-      const u32 app = static_cast<u32>(m->param(0));
-      {
-        std::lock_guard<std::mutex> lock(state_mu_);
-        const auto it = sources_.find(app);
-        if (it != sources_.end()) it->second.active = false;
-      }
+      const auto it = sources_.find(static_cast<u32>(m->param(0)));
+      if (it != sources_.end()) it->second.active = false;
       deliver_to_algorithm(m);
       return;
     }
 
-    case MsgType::kSJoin: {
-      std::lock_guard<std::mutex> lock(state_mu_);
+    case MsgType::kSJoin:
       joined_.insert(static_cast<u32>(m->param(0)));
       break;
-    }
 
-    case MsgType::kSLeave: {
-      std::lock_guard<std::mutex> lock(state_mu_);
+    case MsgType::kSLeave:
       joined_.erase(static_cast<u32>(m->param(0)));
       break;
-    }
 
     case MsgType::kBrokenSource:
       propagate_broken_source(m->app(), m->origin());
@@ -493,10 +606,7 @@ void Engine::handle_link_failure(const NodeId& peer, bool deliberate) {
     std::erase_if(slot.outbox.entries,
                   [&](const auto& e) { return e.second == peer; });
   }
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    switch_weight_.erase(peer);
-  }
+  switch_weight_.erase(peer);
 
   const std::set<u32> lost_apps = [&] {
     const auto it = up_apps_.find(peer);
@@ -576,102 +686,123 @@ void Engine::apply_set_bandwidth(const MsgPtr& m) {
 // --- Timers and periodic work ----------------------------------------------------
 
 void Engine::set_timer(Duration delay, i32 timer_id) {
-  timers_.push(TimerEntry{clock_->now() + std::max<Duration>(delay, 0),
-                          timer_id, timer_seq_++});
+  worker_->schedule_after(
+      delay, this,
+      [this, timer_id] {
+        timers_fired_.inc();
+        deliver_to_algorithm(
+            Msg::control(MsgType::kTimer, self_, kControlApp, timer_id));
+        // Sends that found a full buffer wait for the switch.
+        if (!control_backlog_.empty()) schedule_pass();
+      },
+      &loop_lag_);
 }
 
-void Engine::fire_due_timers() {
-  const TimePoint t = clock_->now();
-  while (!timers_.empty() && timers_.top().due <= t) {
-    const TimerEntry entry = timers_.top();
-    timers_.pop();
-    timers_fired_.inc();
-    deliver_to_algorithm(
-        Msg::control(MsgType::kTimer, self_, kControlApp, entry.id));
-  }
+Duration Engine::until_next_tick(Duration period) const {
+  // Periodic work is phase-aligned to the clock, so every node on a
+  // worker ticks in the same wakeup: an idle process wakes each worker
+  // once per period, not once per node per period.
+  if (period <= 0) return 0;
+  return period - clock_->now() % period;
 }
 
-void Engine::run_periodic() {
+void Engine::on_throughput_tick() {
+  worker_->schedule_after(
+      until_next_tick(config_.throughput_interval), this,
+      [this] { on_throughput_tick(); }, &loop_lag_);
   const TimePoint t = clock_->now();
-
-  if (t >= next_throughput_) {
-    next_throughput_ = t + config_.throughput_interval;
-    std::vector<std::pair<NodeId, std::pair<double, double>>> rates;
-    {
-      std::lock_guard<std::mutex> lock(state_mu_);
-      rates.reserve(links_.size());
-      for (const auto& [peer, link] : links_) {
-        rates.push_back({peer,
-                         {link->up_meter().rate(t), link->down_meter().rate(t)}});
-      }
-    }
-
-    // Resource-budget gauge (docs/METRICS.md): the listener, the wake
-    // eventfd, one per link, plus observer/proxy/control connections.
-    std::size_t fds = 2 + rates.size() + control_conns_.size();
-    if (observer_conn_) ++fds;
-    if (proxy_conn_) ++fds;
-    engine_open_fds_.set(static_cast<i64>(fds));
-    for (const auto& [peer, updown] : rates) {
-      deliver_to_algorithm(Msg::control(MsgType::kUpThroughput, peer,
-                                        kControlApp,
-                                        static_cast<i32>(updown.first)));
-      deliver_to_algorithm(Msg::control(MsgType::kDownThroughput, peer,
-                                        kControlApp,
-                                        static_cast<i32>(updown.second)));
-    }
-
-    // Inactivity-based failure detection (§2.2): an upstream that has
-    // delivered traffic before but has been silent beyond the timeout is
-    // presumed dead. No probes, no heartbeats.
-    if (config_.idle_failure_timeout > 0) {
-      std::vector<NodeId> idle;
-      {
-        std::lock_guard<std::mutex> lock(state_mu_);
-        for (const auto& [peer, link] : links_) {
-          if (link->up_meter().total_msgs() > 0 &&
-              link->up_meter().idle_for(t) > config_.idle_failure_timeout) {
-            idle.push_back(peer);
-          }
-        }
-      }
-      for (const auto& peer : idle) {
-        handle_link_failure(peer, /*deliberate=*/false);
-      }
-    }
+  std::vector<std::pair<NodeId, std::pair<double, double>>> rates;
+  rates.reserve(links_.size());
+  for (const auto& [peer, link] : links_) {
+    rates.push_back(
+        {peer, {link->up_meter().rate(t), link->down_meter().rate(t)}});
   }
 
-  if (observer_conn_ && t >= next_report_) {
-    next_report_ = t + config_.report_interval;
-    send_report();
+  // Resource-budget gauge (docs/METRICS.md): the listener, one per link,
+  // plus observer/proxy and transient control connections.
+  std::size_t fds = 1 + rates.size() + inbound_.size();
+  if (observer_link_) ++fds;
+  if (proxy_link_) ++fds;
+  engine_open_fds_.set(static_cast<i64>(fds));
+  for (const auto& [peer, updown] : rates) {
+    deliver_to_algorithm(Msg::control(MsgType::kUpThroughput, peer,
+                                      kControlApp,
+                                      static_cast<i32>(updown.first)));
+    deliver_to_algorithm(Msg::control(MsgType::kDownThroughput, peer,
+                                      kControlApp,
+                                      static_cast<i32>(updown.second)));
   }
 
-  if (!observer_conn_ && config_.observer.valid() &&
-      t >= next_observer_retry_) {
-    connect_observer();
+  // Inactivity-based failure detection (§2.2): an upstream that has
+  // delivered traffic before but has been silent beyond the timeout is
+  // presumed dead. No probes, no heartbeats.
+  if (config_.idle_failure_timeout > 0) {
+    std::vector<NodeId> idle;
+    for (const auto& [peer, link] : links_) {
+      if (link->up_meter().total_msgs() > 0 &&
+          link->up_meter().idle_for(t) > config_.idle_failure_timeout) {
+        idle.push_back(peer);
+      }
+    }
+    for (const auto& peer : idle) {
+      handle_link_failure(peer, /*deliberate=*/false);
+    }
+    // A slot whose outbox waited only on a failed peer takes input again.
+    if (!idle.empty()) schedule_pass();
   }
+  if (!control_backlog_.empty()) schedule_pass();
+}
+
+void Engine::on_report_tick() {
+  worker_->schedule_after(
+      until_next_tick(config_.report_interval), this,
+      [this] { on_report_tick(); }, &loop_lag_);
+  if (observer_link_) send_report();
 }
 
 // --- Observer plane -----------------------------------------------------------------
 
 void Engine::connect_observer() {
-  if (!config_.observer.valid()) return;
-  next_observer_retry_ = clock_->now() + kObserverRetry;
-  auto conn = TcpConn::connect(config_.observer, config_.connect_timeout);
-  if (!conn) return;
-  if (!write_hello(*conn, Hello{ConnKind::kControl, self_})) return;
-  if (!write_msg(*conn, *Msg::control(MsgType::kBoot, self_, kControlApp))) {
+  if (!config_.observer.valid() || observer_link_ || torn_down_) return;
+  // Both connections are PeerLinks that send a control hello: the same
+  // bytes as a blocking hello-then-frames write, queued behind a
+  // non-blocking connect, so a slow observer never blocks the worker.
+  observer_link_ = dial_control(config_.observer);
+  if (!observer_link_) {
+    if (!observer_retry_armed_) {
+      observer_retry_armed_ = true;
+      worker_->schedule_after(kObserverRetry, this, [this] {
+        observer_retry_armed_ = false;
+        connect_observer();
+      });
+    }
     return;
   }
-  observer_conn_ = std::move(*conn);
-
-  if (config_.report_proxy.valid() && !proxy_conn_) {
-    auto proxy = TcpConn::connect(config_.report_proxy,
-                                  config_.connect_timeout);
-    if (proxy && write_hello(*proxy, Hello{ConnKind::kControl, self_})) {
-      proxy_conn_ = std::move(*proxy);
-    }
+  send_control(observer_link_.get(),
+               Msg::control(MsgType::kBoot, self_, kControlApp));
+  if (config_.report_proxy.valid() && !proxy_link_) {
+    proxy_link_ = dial_control(config_.report_proxy);
   }
+}
+
+std::unique_ptr<PeerLink> Engine::dial_control(const NodeId& dest) {
+  auto conn = TcpConn::connect_start(dest);
+  if (!conn) return nullptr;
+  EngineConfig sizes = config_;
+  sizes.recv_buffer_msgs = kControlLinkMsgs;
+  sizes.send_buffer_msgs = kControlLinkMsgs;
+  auto link = std::make_unique<PeerLink>(
+      self_, dest, std::move(*conn), sizes, bandwidth_, *clock_, *this,
+      control_metrics_, slab_pool_, *worker_, /*dial_pending=*/true,
+      ConnKind::kControl);
+  link->start();
+  return link;
+}
+
+bool Engine::send_control(PeerLink* link, const MsgPtr& m) {
+  if (link == nullptr || !link->send_buffer().try_push(m)) return false;
+  link->notify_send();
+  return true;
 }
 
 NodeReport Engine::build_report() const {
@@ -679,7 +810,6 @@ NodeReport Engine::build_report() const {
   r.node = self_;
   r.uptime = clock_->now() - start_time_;
   const TimePoint t = clock_->now();
-  std::lock_guard<std::mutex> lock(state_mu_);
   for (const auto& [peer, apps] : up_apps_) {
     const auto it = links_.find(peer);
     if (it == links_.end()) continue;
@@ -711,17 +841,13 @@ NodeReport Engine::build_report() const {
 }
 
 void Engine::send_report() {
-  if (!observer_conn_ && !proxy_conn_) return;
+  if (!observer_link_ && !proxy_link_) return;
   reports_sent_.inc();
   const auto report = Msg::text_msg(MsgType::kReport, self_, kControlApp,
                                     build_report().serialize());
-  if (proxy_conn_) {
-    if (write_msg(*proxy_conn_, *report)) return;
-    proxy_conn_.reset();  // fall back to the direct connection
-  }
-  if (observer_conn_ && !write_msg(*observer_conn_, *report)) {
-    observer_conn_.reset();
-    next_observer_retry_ = clock_->now() + kObserverRetry;
+  // Prefer the proxy; a backlogged one falls back to the direct link.
+  if (!send_control(proxy_link_.get(), report)) {
+    send_control(observer_link_.get(), report);
   }
 }
 
@@ -738,14 +864,8 @@ void Engine::trace(std::string_view text) {
     }
   }
   const auto m = Msg::text_msg(MsgType::kTrace, self_, kControlApp, text);
-  if (proxy_conn_) {
-    if (write_msg(*proxy_conn_, *m)) return;
-    proxy_conn_.reset();
-  }
-  if (observer_conn_) {
-    if (write_msg(*observer_conn_, *m)) return;
-    observer_conn_.reset();
-  }
+  if (send_control(proxy_link_.get(), m)) return;
+  if (send_control(observer_link_.get(), m)) return;
   IOV_LOG_INFO("trace") << self_.to_string() << ": " << text;
 }
 
@@ -753,10 +873,10 @@ void Engine::trace(std::string_view text) {
 
 bool Engine::run_switch() {
   flush_control_backlogs();
+  source_starved_ = false;
 
   if (rr_dirty_) {
     rr_order_.clear();
-    std::lock_guard<std::mutex> lock(state_mu_);
     rr_order_.reserve(links_.size());
     for (const auto& [peer, link] : links_) rr_order_.push_back(peer);
     std::sort(rr_order_.begin(), rr_order_.end());
@@ -786,20 +906,15 @@ bool Engine::pump_link_slot(const NodeId& peer) {
   if (!outbox.empty()) return progress;
 
   int weight = config_.default_switch_weight;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    const auto weight_it = switch_weight_.find(peer);
-    if (weight_it != switch_weight_.end()) weight = weight_it->second;
-  }
+  const auto weight_it = switch_weight_.find(peer);
+  if (weight_it != switch_weight_.end()) weight = weight_it->second;
   // One batch pop per slot visit: up to `weight` messages leave the
-  // receive buffer under a single lock, and every popped message is
-  // processed this round (WRR order is unchanged; the default weight of
-  // 1 makes this identical to the per-message pop).
+  // receive buffer, and every popped message is processed this round.
   switch_batch_.clear();
   const std::size_t popped = link->recv_buffer().try_pop_batch(
       switch_batch_, weight > 0 ? static_cast<std::size_t>(weight) : 0);
-  // A reader parked on this (previously full) buffer can resume now —
-  // kick it before processing so decode overlaps the switch.
+  // A reader parked on this (previously full) buffer resumes after the
+  // pass.
   if (popped > 0) link->notify_recv_space();
   for (std::size_t w = 0; w < popped; ++w) {
     Inbound& in = switch_batch_[w];
@@ -815,6 +930,8 @@ bool Engine::pump_link_slot(const NodeId& peer) {
     current_outbox_ = nullptr;
     switch_process_.observe(to_seconds(clock_->now() - t0));
     switch_msgs_.inc();
+    ++pass_msgs_;
+    pass_bytes_ += in.msg->wire_size();
     progress = true;
     flush_outbox(outbox);
   }
@@ -829,7 +946,12 @@ bool Engine::pump_source_slot(u32 app, SourceSlot& slot) {
 
   for (int w = 0; w < config_.default_switch_weight; ++w) {
     MsgPtr m = slot.app_impl->next_message(app, self_, clock_->now());
-    if (!m) break;
+    if (!m) {
+      source_starved_ = true;  // ask again soon (run_pass arms the timer)
+      break;
+    }
+    ++pass_msgs_;
+    pass_bytes_ += m->wire_size();
     m->set_seq(slot.next_seq++);
     current_outbox_ = &slot.outbox;
     deliver_to_algorithm(m);
@@ -856,7 +978,7 @@ bool Engine::flush_outbox(Outbox& outbox) {
     if (link == nullptr) {
       // Destination unreachable: drop and notify the algorithm via the
       // usual message path (send() itself never fails, §2.3).
-      post(Msg::control(MsgType::kBrokenLink, dest, kControlApp));
+      enqueue(Msg::control(MsgType::kBrokenLink, dest, kControlApp));
       it = entries.erase(it);
       progress = true;
       continue;
@@ -897,7 +1019,7 @@ void Engine::flush_control_backlogs() {
 void Engine::send(const MsgPtr& m, const NodeId& dest) {
   if (!m || !dest.valid()) return;
   if (dest == self_) {
-    post(m);
+    enqueue(m);
     return;
   }
   // §2.3: a received non-data message must be cloned before re-sending.
@@ -911,7 +1033,7 @@ void Engine::send(const MsgPtr& m, const NodeId& dest) {
 
   PeerLink* link = get_or_dial(dest);
   if (link == nullptr) {
-    post(Msg::control(MsgType::kBrokenLink, dest, kControlApp));
+    enqueue(Msg::control(MsgType::kBrokenLink, dest, kControlApp));
     return;
   }
   if (link->send_buffer().try_push(m)) {
@@ -971,24 +1093,24 @@ std::optional<LinkStats> Engine::downstream_stats(const NodeId& peer) const {
 }
 
 void Engine::deliver_local(const MsgPtr& m) {
-  std::shared_ptr<Application> app_impl;
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    const auto it = sources_.find(m->app());
-    if (it != sources_.end()) app_impl = it->second.app_impl;
+  const auto it = sources_.find(m->app());
+  if (it != sources_.end() && it->second.app_impl) {
+    it->second.app_impl->deliver(m, clock_->now());
   }
-  if (app_impl) app_impl->deliver(m, clock_->now());
 }
 
 bool Engine::is_source(u32 app) const {
-  std::lock_guard<std::mutex> lock(state_mu_);
   const auto it = sources_.find(app);
   return it != sources_.end() && it->second.active;
 }
 
 void Engine::set_switch_weight(const NodeId& peer, int weight) {
-  std::lock_guard<std::mutex> lock(state_mu_);
-  switch_weight_[peer] = std::max(weight, 1);
+  const auto apply = [&] { switch_weight_[peer] = std::max(weight, 1); };
+  if (started_.load(std::memory_order_acquire)) {
+    worker_->call(apply);
+  } else {
+    apply();
+  }
 }
 
 void Engine::close_link(const NodeId& peer) {
@@ -996,7 +1118,8 @@ void Engine::close_link(const NodeId& peer) {
 }
 
 void Engine::shutdown() {
-  stop_requested_.store(true, std::memory_order_release);
+  stop_requested_ = true;
+  schedule_pass();
 }
 
 }  // namespace iov::engine

@@ -1,15 +1,16 @@
 // The iOverlay engine — an application-layer message switch (paper §2.2,
 // Fig. 4, Table 1).
 //
-// Threads:
-//   * one engine thread running the event loop in engine_main(): it owns
-//     the listener and control connections (polled non-blocking, the
-//     paper's select() on the publicized port), fires timers, produces
-//     periodic QoS reports, and runs the switch — which is the only place
-//     Algorithm::process() is ever invoked, giving algorithms the paper's
-//     single-threaded guarantee;
-//   * no thread of its own per peer connection: every PeerLink is a state
-//     machine on the process-shared epoll reactor (see peer_link.h).
+// Threads: none of its own. An engine is a citizen of one worker of the
+// process-shared epoll reactor (DESIGN.md §9), picked round-robin by
+// start(). Its listener, its transient control connections, its
+// observer/proxy connections, every one of its PeerLinks, its timers and
+// its switch are callbacks of that one worker's loop. Paper §2.2 runs
+// every algorithm on a single engine thread; here Algorithm::process()
+// is only ever invoked on the engine's worker, so algorithms keep the
+// single-threaded guarantee by construction, and an idle node costs no
+// CPU at all: nothing of it runs until a socket, a timer or a driver call
+// gives it work.
 //
 // The switch pulls messages from input slots (each upstream link's
 // receive buffer, plus one virtual slot per locally deployed application
@@ -21,17 +22,25 @@
 // a slot with a non-empty outbox does not accept new input, which is what
 // propagates back-pressure from a slow downstream all the way into the
 // upstream TCP connections.
+//
+// The switch runs as a pass deferred to the end of the worker's event
+// batch, scheduled whenever a link pushed into a receive buffer, freed
+// send space or delivered a control message (and by timers and driver
+// calls). A pass runs rounds until nothing moves or its message budget is
+// spent; every link it pushed to is pumped once after the pass, so sends
+// stay batched. A deployed source whose next_message() returns nothing is
+// asked again by a 1 ms timer that exists only while that is the case.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <condition_variable>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <queue>
+#include <optional>
 #include <set>
-#include <thread>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -42,12 +51,10 @@
 #include "engine/config.h"
 #include "engine/peer_link.h"
 #include "engine/report.h"
+#include "net/reactor/reactor.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 
-namespace iov::reactor {
-class Reactor;
-}  // namespace iov::reactor
 
 namespace iov::engine {
 
@@ -62,9 +69,11 @@ enum BandwidthScope : i32 {
   kBwLinkDown = 4,
 };
 
-class Engine final : public EngineApi, public InternalSink {
+class Engine final : public EngineApi,
+                     public LinkOwner,
+                     private reactor::EventHandler {
  public:
-  /// The engine owns the algorithm; bind() happens on the engine thread.
+  /// The engine owns the algorithm; bind() happens on the engine's worker.
   Engine(EngineConfig config, std::unique_ptr<Algorithm> algorithm);
   ~Engine() override;
 
@@ -73,19 +82,27 @@ class Engine final : public EngineApi, public InternalSink {
 
   // --- Lifecycle (driver-side, thread safe) ----------------------------------
 
-  /// Binds the listener, connects to the observer (if configured) and
-  /// sends the bootstrap request, then spawns the engine thread. Returns
-  /// false if the port could not be bound.
+  /// Binds the listener and picks this node's reactor worker, then hands
+  /// the rest of the boot (algorithm bind, observer dial and bootstrap
+  /// request, on_start) to that worker. Returns false if the port could
+  /// not be bound.
   bool start();
 
   /// Requests graceful termination (equivalent to receiving
   /// kTerminateNode).
   void stop();
 
-  /// Blocks until the engine thread has exited and all links are joined.
+  /// Blocks until the engine has torn down on its worker: every link
+  /// closed, every timer cancelled, no callback of this engine left to
+  /// run. Call from a driver thread, never from a reactor worker.
   void join();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
+
+  /// The reactor worker this node runs on; null before start(). Code that
+  /// must run in the node's context (tests inspecting algorithm state,
+  /// harnesses poking two nodes at once) goes through its call().
+  reactor::Worker* worker() const { return worker_; }
 
   // --- Driver-side configuration (before start()) -----------------------------
 
@@ -97,12 +114,12 @@ class Engine final : public EngineApi, public InternalSink {
   /// Pre-start access to the algorithm for topology configuration.
   Algorithm& algorithm_for_setup() { return *algorithm_; }
 
-  // --- Driver-side interaction (after start(), thread safe) -------------------
+  // --- Driver-side interaction (thread safe) ----------------------------------
 
   /// Injects a message as if it had arrived on the publicized port — the
-  /// same path observer commands and link-thread notifications take
-  /// (this is the InternalSink implementation).
-  void post(MsgPtr m) override;
+  /// same path observer commands take. Before start() the message waits
+  /// for the boot (post from the thread that calls start()).
+  void post(MsgPtr m);
 
   /// Convenience wrappers that post the corresponding observer control
   /// message.
@@ -128,6 +145,7 @@ class Engine final : public EngineApi, public InternalSink {
     std::vector<u32> source_apps;
     std::vector<u32> joined_apps;
   };
+  /// Thread safe: taken on the engine's worker (the caller waits).
   Snapshot snapshot() const;
 
   /// This node's metric registry (docs/METRICS.md). Thread safe; tools
@@ -136,7 +154,7 @@ class Engine final : public EngineApi, public InternalSink {
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  // --- EngineApi (engine thread only) -----------------------------------------
+  // --- EngineApi (engine's worker only) ---------------------------------------
 
   void send(const MsgPtr& m, const NodeId& dest) override;
   NodeId self() const override { return self_; }
@@ -168,18 +186,45 @@ class Engine final : public EngineApi, public InternalSink {
     Outbox outbox;
   };
 
-  // InternalSink (called from reactor workers).
-  void wake() override;
+  /// A connection accepted on the publicized port: gathers the 16-byte
+  /// hello without blocking (bounded by kHelloTimeout), then either
+  /// becomes a PeerLink (persistent) or decodes control frames until EOF.
+  struct InboundConn final : reactor::EventHandler {
+    InboundConn(Engine& e, TcpConn c) : engine(e), conn(std::move(c)) {}
+    void on_event(u32) override { engine.on_inbound_ready(*this); }
+    Engine& engine;
+    TcpConn conn;
+    std::array<u8, kHelloBytes> hello{};
+    std::size_t got = 0;
+    std::optional<FrameReader> reader;  ///< set once a control hello arrived
+  };
 
-  void engine_main();
-  void poll_once(Duration timeout);
-  void handle_accept();
+  // reactor::EventHandler: the listener became readable.
+  void on_event(u32 events) override;
+
+  // LinkOwner.
+  void on_link_message(PeerLink& link, MsgPtr m) override;
+  void on_link_ready(PeerLink& link) override;
+  void on_link_failed(PeerLink& link, MsgType kind) override;
+  void on_first_frame(PeerLink& link) override;
+
+  void boot();
+  void teardown();
+  void enqueue(MsgPtr m);
+  void drain_inbox();
+  void schedule_pass();
+  void run_pass();
+  void retire(std::unique_ptr<reactor::EventHandler> handler);
+  void accept_pending();
+  void on_inbound_ready(InboundConn& conn);
+  void drop_inbound(InboundConn& conn);
   void adopt_persistent(const NodeId& peer, TcpConn conn);
   void dispatch(const MsgPtr& m);
   void handle_link_failure(const NodeId& peer, bool deliberate);
   void propagate_broken_source(u32 app, const NodeId& origin);
-  void fire_due_timers();
-  void run_periodic();
+  Duration until_next_tick(Duration period) const;
+  void on_throughput_tick();
+  void on_report_tick();
   bool run_switch();
   bool pump_link_slot(const NodeId& peer);
   bool pump_source_slot(u32 app, SourceSlot& slot);
@@ -193,6 +238,8 @@ class Engine final : public EngineApi, public InternalSink {
   void send_report();
   NodeReport build_report() const;
   void connect_observer();
+  std::unique_ptr<PeerLink> dial_control(const NodeId& dest);
+  bool send_control(PeerLink* link, const MsgPtr& m);
   void deliver_to_algorithm(const MsgPtr& m);
 
   EngineConfig config_;
@@ -215,34 +262,37 @@ class Engine final : public EngineApi, public InternalSink {
   obs::Counter& link_closes_;    ///< deliberate teardowns (close_link/sever)
   obs::Counter& link_failures_;  ///< crash detections (EOF, error, timeout)
   obs::Gauge& engine_open_fds_;  ///< fds this node holds open
+  obs::Histogram& loop_lag_;     ///< timer due -> run delay on the worker
+  /// Meters of the observer/proxy connections, kept out of the node's
+  /// report: they are not overlay links.
+  obs::MetricsRegistry control_metrics_;
 
   NodeId self_;
   TcpListener listener_;
+  bool listening_ = false;  ///< listener fd in the worker's epoll set
   TimePoint start_time_ = 0;
-
-  /// The process-shared epoll pool that drives every link (DESIGN.md §9).
-  reactor::Reactor& reactor_;
-
-  /// While now() < this, the listener is left out of the poll set —
-  /// fd-exhaustion backoff (EMFILE/ENFILE on accept). Engine thread only.
-  TimePoint accept_backoff_until_ = 0;
   TimePoint last_fd_warn_ = 0;  ///< throttles the fd-exhaustion warning
+
+  /// The process-shared epoll pool, and the worker this node lives on
+  /// (set by start(), fixed for life).
+  reactor::Reactor& reactor_;
+  reactor::Worker* worker_ = nullptr;
 
   /// Recycled large-frame payload slabs shared by every link's receiver
   /// (DESIGN.md §8). Declared before links_ so it outlives them; the
   /// slabs themselves may outlive both (shared pool core).
   SlabPool slab_pool_;
 
-  // Links and app registry; state_mu_ guards map *structure* so snapshot()
-  // can read from other threads (contents are engine-thread-owned or
-  // internally synchronized).
-  mutable std::mutex state_mu_;
+  // Everything below is owned by the worker thread.
   std::unordered_map<NodeId, std::unique_ptr<PeerLink>> links_;
   std::map<u32, SourceSlot> sources_;
   std::set<u32> joined_;
+  std::unordered_map<InboundConn*, std::unique_ptr<InboundConn>> inbound_;
+  /// Handlers removed inside a callback chain that may still be on the
+  /// stack; destroyed by a deferred call.
+  std::vector<std::unique_ptr<reactor::EventHandler>> graveyard_;
+  bool graveyard_deferred_ = false;
 
-  // Engine-thread-only state (switch_weight_ is additionally guarded by
-  // state_mu_ so drivers can tune it at runtime).
   std::unordered_map<NodeId, Outbox> link_outbox_;
   std::unordered_map<NodeId, int> switch_weight_;
   std::unordered_map<NodeId, std::deque<MsgPtr>> control_backlog_;
@@ -256,38 +306,30 @@ class Engine final : public EngineApi, public InternalSink {
   Outbox* current_outbox_ = nullptr;
   const Msg* current_msg_ = nullptr;
 
-  struct TimerEntry {
-    TimePoint due;
-    i32 id;
-    u64 seq;
-    bool operator>(const TimerEntry& o) const {
-      return std::tie(due, seq) > std::tie(o.due, o.seq);
-    }
-  };
-  std::priority_queue<TimerEntry, std::vector<TimerEntry>,
-                      std::greater<TimerEntry>>
-      timers_;
-  u64 timer_seq_ = 0;
+  /// Control messages and driver posts awaiting the next switch pass.
+  std::deque<MsgPtr> inbox_;
+  bool pass_scheduled_ = false;
+  std::size_t pass_msgs_ = 0;    ///< messages switched in the current pass
+  std::size_t pass_bytes_ = 0;   ///< their wire bytes
+  bool dialed_in_pass_ = false;  ///< the pass created a link: yield soon
+  bool source_starved_ = false;  ///< an active source had nothing this round
+  bool repoll_armed_ = false;    ///< the source re-poll timer is pending
 
-  // Observer plane (engine thread only).
-  std::optional<TcpConn> observer_conn_;
-  std::optional<TcpConn> proxy_conn_;
-  TimePoint next_report_ = 0;
-  TimePoint next_throughput_ = 0;
-  TimePoint next_observer_retry_ = 0;
+  // Observer plane.
+  std::unique_ptr<PeerLink> observer_link_;
+  std::unique_ptr<PeerLink> proxy_link_;
+  bool observer_retry_armed_ = false;
 
-  // Internal message queue (reactor workers -> engine thread).
-  std::mutex internal_mu_;
-  std::deque<MsgPtr> internal_q_;
-  Fd wake_fd_;
+  bool stop_requested_ = false;
+  bool torn_down_ = false;
 
-  // Transient control connections accepted on the publicized port.
-  std::vector<TcpConn> control_conns_;
-
-  std::thread engine_thread_;
-  std::atomic<bool> stop_requested_{false};
+  // Driver-side lifecycle.
+  std::vector<MsgPtr> pre_start_;  ///< posts made before start()
+  std::atomic<bool> started_{false};
   std::atomic<bool> running_{false};
-  bool started_ = false;
+  std::mutex done_mu_;
+  std::condition_variable done_cv_;
+  bool done_ = false;  // guarded by done_mu_
 };
 
 }  // namespace iov::engine

@@ -14,6 +14,9 @@ obs::Labels link_labels(const NodeId& peer, const char* dir) {
   return {{"peer", peer.to_string()}, {"dir", dir}};
 }
 
+/// Bytes one receive pump call delivers before it yields (see pump_recv).
+constexpr std::size_t kRecvBudgetBytes = 256 * 1024;
+
 // Bucket bounds for the flush/refill batch-size histograms (messages per
 // syscall batch, not seconds).
 const std::vector<double>& flush_bounds() {
@@ -24,17 +27,19 @@ const std::vector<double>& flush_bounds() {
 
 PeerLink::PeerLink(NodeId self, NodeId peer, TcpConn conn,
                    const EngineConfig& config, BandwidthEmulator& bandwidth,
-                   const Clock& clock, InternalSink& sink,
+                   const Clock& clock, LinkOwner& owner,
                    obs::MetricsRegistry& metrics, SlabPool& pool,
-                   reactor::Worker& worker, bool dial_pending)
+                   reactor::Worker& worker, bool dial_pending, ConnKind kind)
     : self_(self),
       peer_(peer),
       conn_(std::move(conn)),
       bandwidth_(bandwidth),
       clock_(clock),
-      sink_(sink),
+      owner_(owner),
+      pool_(pool),
       worker_(worker),
       dial_pending_(dial_pending),
+      kind_(kind),
       connect_timeout_(config.connect_timeout),
       recv_buffer_(config.recv_buffer_msgs),
       send_buffer_(config.send_buffer_msgs),
@@ -71,69 +76,48 @@ PeerLink::PeerLink(NodeId self, NodeId peer, TcpConn conn,
       loop_lag_(metrics.histogram(obs::names::kReactorLoopLagSeconds)),
       loss_rng_((static_cast<u64>(self.ip()) << 32) ^
                 (static_cast<u64>(peer.ip()) << 16) ^ peer.port()),
-      reader_(conn_, pool) {
+      reader_(conn_, pool),
+      awaiting_first_frame_(dial_pending && kind == ConnKind::kPersistent) {
   metrics.gauge(obs::names::kLinkQueueCapacity, link_labels(peer, "up"))
       .set(static_cast<i64>(recv_buffer_.capacity()));
   metrics.gauge(obs::names::kLinkQueueCapacity, link_labels(peer, "down"))
       .set(static_cast<i64>(send_buffer_.capacity()));
 }
 
-PeerLink::~PeerLink() {
-  stop();
-  join();
-}
+PeerLink::~PeerLink() { stop(); }
 
-// --- Engine-thread API ------------------------------------------------------
-
-void PeerLink::start() {
-  worker_.submit([this] { ws_start(); }, &loop_lag_);
-}
+// --- Switch-facing API ------------------------------------------------------
 
 void PeerLink::stop() {
-  if (stopping_.exchange(true)) return;
-  recv_buffer_.close();
-  send_buffer_.close();
-  // Shutting down (not closing) the socket sends the peer its EOF at once
-  // without racing descriptor reuse: the worker still holds the fd until
-  // the teardown task below deregisters it.
+  if (detached_) return;
+  detach();
+  // Shutting down (not closing) the socket sends the peer its EOF at once;
+  // the descriptor is released with the link.
   conn_.shutdown_both();
-  // FIFO task order is the teardown guarantee: every notify task submitted
-  // before this one runs first, so after this task no worker code touches
-  // the link.
-  worker_.submit([this] {
-    detach();
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    stopped_ = true;
-    stop_cv_.notify_all();  // under the lock: the waiter may destroy us
-  });
-}
-
-void PeerLink::join() {
-  if (!stopping_.load()) return;
-  std::unique_lock<std::mutex> lock(stop_mu_);
-  stop_cv_.wait(lock, [&] { return stopped_; });
 }
 
 void PeerLink::notify_send() {
-  if (send_scheduled_.exchange(true)) return;
-  worker_.submit(
-      [this] {
-        send_scheduled_.store(false);
-        pump_send();
-      },
-      &loop_lag_);
+  if (send_deferred_ || detached_) return;
+  send_deferred_ = true;
+  worker_.defer(this, [this] {
+    send_deferred_ = false;
+    pump_send();
+  });
 }
 
 void PeerLink::notify_recv_space() {
-  if (!recv_blocked_.exchange(false)) return;
-  worker_.submit([this] { resume_recv(); }, &loop_lag_);
+  if (!recv_full_ || resume_deferred_ || detached_) return;
+  resume_deferred_ = true;
+  worker_.defer(this, [this] {
+    resume_deferred_ = false;
+    resume_recv();
+  });
 }
 
 void PeerLink::set_send_loss(double probability) {
   if (probability < 0.0) probability = 0.0;
   if (probability > 1.0) probability = 1.0;
-  send_loss_ppm_.store(static_cast<u32>(probability * 1e6),
-                       std::memory_order_relaxed);
+  send_loss_ppm_ = static_cast<u32>(probability * 1e6);
 }
 
 void PeerLink::update_queue_gauges() {
@@ -141,22 +125,57 @@ void PeerLink::update_queue_gauges() {
   send_depth_.set(static_cast<i64>(send_buffer_.size()));
 }
 
-// --- Worker-thread state machine --------------------------------------------
+std::vector<MsgPtr> PeerLink::take_unsent() {
+  std::vector<MsgPtr> out;
+  for (auto& m : wire_msgs_) out.push_back(std::move(m));
+  wire_msgs_.clear();
+  wire_headers_.clear();
+  wire_off_ = 0;
+  for (auto& m : pending_) out.push_back(std::move(m));
+  pending_.clear();
+  for (std::size_t i = popped_idx_; i < popped_.size(); ++i) {
+    if (popped_[i]) out.push_back(std::move(popped_[i]));
+  }
+  popped_.clear();
+  popped_idx_ = 0;
+  send_buffer_.try_pop_batch(out, send_buffer_.size());
+  return out;
+}
 
-void PeerLink::ws_start() {
+void PeerLink::take_over(PeerLink& old) {
+  // Straight onto the wire queue: these already left a send buffer once.
+  pending_ = old.take_unsent();
+  stage_pending();
+  up_meter_.absorb(old.up_meter_);
+  down_meter_.absorb(old.down_meter_);
+}
+
+void PeerLink::drain_crossing(TcpConn old) {
+  if (detached_ || predecessor_) return;  // one crossing per peer at most
+  predecessor_ = std::make_unique<Predecessor>(*this, std::move(old), pool_);
+  update_interest();
+}
+
+// --- State machine ----------------------------------------------------------
+
+void PeerLink::start() {
   if (detached_) return;
-  if (!conn_.valid()) {
-    fail(MsgType::kPeerFailed);
+  const u32 first_interest = dial_pending_ ? EPOLLOUT : EPOLLIN;
+  if (!conn_.valid() || !worker_.add_fd(fd(), first_interest, this)) {
+    worker_.defer(this, [this] { fail(MsgType::kPeerFailed); });
     return;
   }
+  registered_ = true;
+  interest_ = first_interest;
   if (dial_pending_) {
     state_ = State::kConnecting;
-    if (!worker_.add_fd(fd(), EPOLLOUT, this)) {
-      fail(MsgType::kPeerFailed);
-      return;
-    }
-    registered_ = true;
-    interest_ = EPOLLOUT;
+    // A loopback handshake has usually finished already: send the hello
+    // right after the current pass instead of a loop iteration later.
+    worker_.defer(this, [this] {
+      if (state_ == State::kConnecting && conn_.connect_resolved()) {
+        connect_ready();
+      }
+    });
     worker_.schedule_after(
         connect_timeout_, this,
         [this] {
@@ -167,28 +186,23 @@ void PeerLink::ws_start() {
         },
         &loop_lag_);
   } else {
-    // Accepted socket, hello already consumed by the engine's blocking
-    // handshake read: go straight to established.
-    conn_.set_nonblocking(true);
+    // Accepted socket, hello already consumed by the engine: go straight
+    // to established. Frames may have arrived with the hello, and the
+    // switch may have queued sends already.
     state_ = State::kEstablished;
-    if (!worker_.add_fd(fd(), EPOLLIN, this)) {
-      fail(MsgType::kPeerFailed);
-      return;
-    }
-    registered_ = true;
-    interest_ = EPOLLIN;
-    pump_send();  // the engine may have queued sends before we registered
+    notify_send();
+    worker_.defer(this, [this] { pump_recv(); });
   }
 }
 
-void PeerLink::ws_connect_ready() {
+void PeerLink::connect_ready() {
   worker_.cancel_timers(this);  // the connect deadline
   if (!conn_.finish_connect()) {
     fail(MsgType::kPeerFailed);
     return;
   }
   state_ = State::kHandshaking;
-  const auto hello = encode_hello(Hello{ConnKind::kPersistent, self_});
+  const auto hello = encode_hello(Hello{kind_, self_});
   raw_head_.assign(hello.begin(), hello.end());
   raw_off_ = 0;
   update_interest();
@@ -202,16 +216,16 @@ void PeerLink::on_event(u32 events) {
   if (detached_) return;
   if (state_ == State::kConnecting) {
     // EPOLLOUT (or ERR/HUP) resolves the pending connect either way.
-    ws_connect_ready();
+    connect_ready();
     return;
   }
-  if ((events & (EPOLLERR | EPOLLHUP)) != 0 && read_parked() &&
-      !write_blocked_) {
+  if ((events & (EPOLLERR | EPOLLHUP)) != 0 &&
+      (reading_blocked() || predecessor_) && !write_blocked_) {
     // A dead socket reports ERR/HUP on every epoll_wait even with an empty
-    // interest mask; while parked (pacing timer or full buffer) we cannot
-    // consume the error, so leave the epoll set entirely to avoid a busy
-    // loop. update_interest() re-adds the fd on resume and the resumed
-    // read then observes the error.
+    // interest mask; while parked (pacing timer, full buffer, predecessor
+    // still draining) we cannot consume the error, so leave the epoll set
+    // entirely to avoid a busy loop. update_interest() re-adds the fd on
+    // resume and the resumed read then observes the error.
     if (registered_ && !suspended_) {
       worker_.del_fd(fd());
       suspended_ = true;
@@ -231,8 +245,9 @@ void PeerLink::pump_send() {
   if (detached_ || state_ != State::kEstablished) return;
   if (!flush_wire()) return;  // backlogged (EPOLLOUT armed) or dead
   if (send_paced_) return;    // the pacing timer owns progress
+  const bool emulated = kind_ == ConnKind::kPersistent;
   bool popped_any = false;
-  while (!stopping_.load(std::memory_order_relaxed)) {
+  while (!detached_) {
     if (popped_idx_ >= popped_.size()) {
       popped_.clear();
       popped_idx_ = 0;
@@ -242,18 +257,18 @@ void PeerLink::pump_send() {
     }
     while (popped_idx_ < popped_.size()) {
       MsgPtr& m = popped_[popped_idx_];
-      const u32 loss_ppm = send_loss_ppm_.load(std::memory_order_relaxed);
-      if (loss_ppm > 0 && loss_rng_.below(1000000) < loss_ppm) {
+      if (send_loss_ppm_ > 0 && loss_rng_.below(1000000) < send_loss_ppm_) {
         // Injected wire loss (kSetLoss): the message vanishes before
         // pacing, accounted like any other sender-side drop.
         count_send_loss(*m);
         m.reset();
         ++popped_idx_;
-        sink_.wake();
         continue;
       }
       const Duration wait =
-          bandwidth_.acquire_send(peer_, m->wire_size(), clock_.now());
+          emulated ? bandwidth_.acquire_send(peer_, m->wire_size(),
+                                             clock_.now())
+                   : 0;
       if (wait > 0) {
         // Pacing boundary: everything accumulated so far cleared the
         // token bucket with zero wait, so flush it before the emulated
@@ -267,7 +282,7 @@ void PeerLink::pump_send() {
         send_paced_ = true;
         worker_.schedule_after(
             wait, this, [this] { on_send_pace_done(); }, &loop_lag_);
-        if (popped_any) sink_.wake();
+        if (popped_any) owner_.on_link_ready(*this);
         return;
       }
       pending_.push_back(std::move(m));
@@ -280,7 +295,7 @@ void PeerLink::pump_send() {
     if (!flush_wire()) break;
   }
   if (detached_) return;
-  if (popped_any) sink_.wake();
+  if (popped_any) owner_.on_link_ready(*this);  // send space freed
 }
 
 void PeerLink::on_send_pace_done() {
@@ -325,7 +340,6 @@ bool PeerLink::flush_wire() {
     raw_head_.clear();
     raw_off_ = 0;
   }
-  std::size_t completed = 0;
   bool drained = true;
   while (!wire_msgs_.empty()) {
     // Same shape as write_batch: up to kMaxWireBatch frames, two iovecs
@@ -367,7 +381,6 @@ bool PeerLink::flush_wire() {
       break;
     }
     if (n < 0) {
-      if (completed > 0) sink_.wake();
       fail(MsgType::kSendFailed);
       return false;
     }
@@ -382,40 +395,72 @@ bool PeerLink::flush_wire() {
       down_msgs_.inc();
       wire_msgs_.pop_front();
       wire_headers_.pop_front();
-      ++completed;
     }
   }
   if (drained && write_blocked_) {
     write_blocked_ = false;
     update_interest();
   }
-  if (completed > 0) sink_.wake();
   return drained;
 }
 
 // --- Receive path -----------------------------------------------------------
 
 void PeerLink::pump_recv() {
-  if (detached_ || state_ == State::kConnecting || read_parked()) return;
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    MsgPtr m = reader_.next();
-    const u64 s = reader_.syscalls();
-    if (s != seen_syscalls_) {
-      // The reader went back to the socket, so the frames decoded since
-      // the previous refill formed one bulk batch.
-      if (refill_msgs_ > 0) {
-        up_flush_msgs_.observe(static_cast<double>(refill_msgs_));
+  if (detached_ || reading_blocked()) return;
+  // About a socket buffer per call: then the switch pass (and the sends
+  // it feeds) runs before this reader continues, so a node forwards while
+  // its upstream is still streaming.
+  std::size_t budget = kRecvBudgetBytes;
+  while (!detached_) {
+    MsgPtr m;
+    if (predecessor_) {
+      m = predecessor_->reader.next();
+      if (!m) {
+        flush_inbound();
+        if (detached_ || predecessor_->reader.would_block()) return;
+        // EOF: the crossing connection is done. This may run inside the
+        // predecessor's own on_event; nothing touches it after the reset.
+        if (predecessor_->registered) worker_.del_fd(predecessor_->conn.fd());
+        predecessor_.reset();
+        update_interest();
+        continue;
       }
-      up_syscalls_.inc(s - seen_syscalls_);
-      seen_syscalls_ = s;
-      refill_msgs_ = 0;
-    }
-    if (m) ++refill_msgs_;
-    if (!m) {
-      flush_inbound();  // deliver what already decoded before any verdict
-      if (reader_.would_block()) return;  // EPOLLIN resumes the pump
-      fail(MsgType::kPeerFailed);         // EOF, socket error, corrupt frame
-      return;
+    } else if (first_frame_) {
+      m = std::move(first_frame_);
+    } else {
+      if (state_ == State::kConnecting) return;
+      m = reader_.next();
+      const u64 s = reader_.syscalls();
+      if (s != seen_syscalls_) {
+        // The reader went back to the socket, so the frames decoded since
+        // the previous refill formed one bulk batch.
+        if (refill_msgs_ > 0) {
+          up_flush_msgs_.observe(static_cast<double>(refill_msgs_));
+        }
+        up_syscalls_.inc(s - seen_syscalls_);
+        seen_syscalls_ = s;
+        refill_msgs_ = 0;
+      }
+      if (!m) {
+        flush_inbound();  // deliver what already decoded before any verdict
+        if (reader_.would_block()) return;  // EPOLLIN resumes the pump
+        fail(MsgType::kPeerFailed);         // EOF, socket error, corrupt frame
+        return;
+      }
+      ++refill_msgs_;
+      if (awaiting_first_frame_) {
+        // A crossing dial from the peer reached our listener before this
+        // frame left the peer; let the owner attach it, and deliver its
+        // frames first.
+        awaiting_first_frame_ = false;
+        owner_.on_first_frame(*this);
+        if (detached_) return;
+        if (predecessor_) {
+          first_frame_ = std::move(m);
+          continue;
+        }
+      }
     }
 
     // Download-side bandwidth emulation: pace before the message becomes
@@ -425,7 +470,9 @@ void PeerLink::pump_recv() {
     // boundary: everything decoded so far becomes visible before the
     // emulated delay.
     const Duration wait =
-        bandwidth_.acquire_recv(peer_, m->wire_size(), clock_.now());
+        kind_ == ConnKind::kPersistent
+            ? bandwidth_.acquire_recv(peer_, m->wire_size(), clock_.now())
+            : 0;
     if (wait > 0) {
       flush_inbound();
       if (detached_) return;
@@ -436,8 +483,21 @@ void PeerLink::pump_recv() {
           wait, this, [this] { on_recv_pace_done(); }, &loop_lag_);
       return;
     }
+    const std::size_t size = m->wire_size();
     account_and_route(std::move(m));
-    if (detached_ || read_parked()) return;
+    if (detached_ || reading_blocked()) return;
+    if (size >= budget) {
+      flush_inbound();
+      if (!resume_deferred_ && !detached_ && !reading_blocked()) {
+        resume_deferred_ = true;
+        worker_.defer(this, [this] {
+          resume_deferred_ = false;
+          resume_recv();
+        });
+      }
+      return;
+    }
+    budget -= size;
   }
 }
 
@@ -445,16 +505,16 @@ void PeerLink::on_recv_pace_done() {
   if (detached_ || !paced_) return;
   MsgPtr m = std::move(paced_);
   account_and_route(std::move(m));
-  if (detached_ || read_parked()) return;
+  if (detached_ || reading_blocked()) return;
   update_interest();
   pump_recv();
 }
 
 void PeerLink::resume_recv() {
   if (detached_) return;
-  if (!flush_inbound()) return;  // still full: re-parked, flag re-set
-  if (held_ctrl_) sink_.post(std::move(held_ctrl_));
-  if (paced_) return;  // the pacing timer continues the pump
+  if (!flush_inbound()) return;  // still full: stays parked
+  if (held_ctrl_) owner_.on_link_message(*this, std::move(held_ctrl_));
+  if (detached_ || paced_) return;  // the pacing timer continues the pump
   update_interest();
   pump_recv();
 }
@@ -464,7 +524,7 @@ void PeerLink::account_and_route(MsgPtr m) {
   up_meter_.record(m->wire_size(), now);
   up_bytes_.inc(m->wire_size());
   up_msgs_.inc();
-  if (m->type() == MsgType::kData) {
+  if (m->type() == MsgType::kData && kind_ == ConnKind::kPersistent) {
     inbound_.push_back(Inbound{std::move(m), now});
     // Keep accumulating only while the reader can hand out more frames
     // without going back to the socket; flush at every syscall boundary
@@ -478,7 +538,7 @@ void PeerLink::account_and_route(MsgPtr m) {
     // order between the two planes; if the flush parks, hold the control
     // message so order is still preserved on resume).
     if (flush_inbound()) {
-      sink_.post(std::move(m));
+      owner_.on_link_message(*this, std::move(m));
     } else {
       held_ctrl_ = std::move(m);
     }
@@ -486,46 +546,30 @@ void PeerLink::account_and_route(MsgPtr m) {
 }
 
 bool PeerLink::flush_inbound() {
-  for (;;) {
-    if (inbound_.empty()) {
-      if (recv_full_) {
-        recv_full_ = false;
-        update_interest();
-      }
-      return true;
-    }
+  if (!inbound_.empty()) {
     const std::size_t pushed = recv_buffer_.try_push_batch(inbound_);
     if (pushed > 0) {
       inbound_.erase(inbound_.begin(),
                      inbound_.begin() + static_cast<std::ptrdiff_t>(pushed));
       recv_depth_.set(static_cast<i64>(recv_buffer_.size()));
-      sink_.wake();
-      continue;
+      owner_.on_link_ready(*this);
     }
-    if (recv_buffer_.closed()) {
-      inbound_.clear();  // teardown: the engine no longer drains
-      continue;
-    }
-    if (recv_full_ && recv_blocked_.load()) return false;  // already parked
-    // Full: park. Publish the flag, then loop for one more push attempt —
-    // if the engine drained between our failed push and the store, its
-    // notify_recv_space saw the flag unset and no resume would ever come.
-    recv_full_ = true;
-    recv_blocked_.store(true);
-    update_interest();
-    sink_.wake();
   }
+  const bool full = !inbound_.empty();
+  if (full != recv_full_) {
+    // Full: park until the switch drains the buffer (notify_recv_space).
+    recv_full_ = full;
+    update_interest();
+  }
+  return !full;
 }
 
 // --- Failure and teardown ---------------------------------------------------
 
 void PeerLink::fail(MsgType kind) {
   if (detached_) return;
-  if (!stopping_.load(std::memory_order_relaxed)) {
-    failed_.store(true, std::memory_order_relaxed);
-    sink_.post(Msg::control(kind, peer_, kControlApp));
-  }
   detach();
+  owner_.on_link_failed(*this, kind);
 }
 
 void PeerLink::detach() {
@@ -534,38 +578,43 @@ void PeerLink::detach() {
   if (registered_ && !suspended_) worker_.del_fd(fd());
   registered_ = false;
   suspended_ = false;
+  if (predecessor_ && predecessor_->registered) {
+    worker_.del_fd(predecessor_->conn.fd());
+  }
+  predecessor_.reset();
   worker_.cancel_timers(this);
+  worker_.cancel_deferred(this);
   // Account every undelivered egress message as lost ("the number of
   // bytes (or messages) lost due to failures").
-  for (const auto& m : wire_msgs_) count_send_loss(*m);
-  wire_msgs_.clear();
-  wire_headers_.clear();
-  wire_off_ = 0;
-  for (const auto& m : pending_) count_send_loss(*m);
-  pending_.clear();
-  for (std::size_t i = popped_idx_; i < popped_.size(); ++i) {
-    if (popped_[i]) count_send_loss(*popped_[i]);
-  }
-  popped_.clear();
-  popped_idx_ = 0;
-  std::vector<MsgPtr> rest;
-  while (send_buffer_.try_pop_batch(rest, kMaxWireBatch) > 0) {
-    for (const auto& m : rest) count_send_loss(*m);
-    rest.clear();
-  }
+  for (const auto& m : take_unsent()) count_send_loss(*m);
   inbound_.clear();
+  first_frame_.reset();
   paced_.reset();
   held_ctrl_.reset();
   state_ = State::kDraining;
 }
 
 void PeerLink::update_interest() {
-  if (detached_ || !registered_) return;
+  if (detached_) return;
+  if (predecessor_) {
+    // The predecessor reads whenever the link may consume input.
+    const bool want = !reading_blocked();
+    if (want != predecessor_->registered) {
+      if (want) {
+        predecessor_->registered = worker_.add_fd(predecessor_->conn.fd(),
+                                                  EPOLLIN, predecessor_.get());
+      } else {
+        worker_.del_fd(predecessor_->conn.fd());
+        predecessor_->registered = false;
+      }
+    }
+  }
+  if (!registered_) return;
   u32 want = 0;
   if (state_ == State::kConnecting) {
     want = EPOLLOUT;
   } else {
-    if (!read_parked()) want |= EPOLLIN;
+    if (!reading_blocked() && !predecessor_) want |= EPOLLIN;
     if (write_blocked_) want |= EPOLLOUT;
   }
   if (suspended_) {

@@ -5,47 +5,43 @@
 // The paper gives every connection a receiver thread and a sender thread;
 // because connections are persistent and full duplex ("all the messages
 // between two nodes are carried with the same connection"), both share
-// one TCP socket. Here the two thread bodies are one state machine pinned
-// to a worker of the process-shared epoll reactor:
+// one TCP socket. Here the two thread bodies are one state machine on
+// the reactor worker its engine lives on:
 //
 //   kConnecting --connect done--> kHandshaking --hello flushed-->
 //   kEstablished --stop()/failure--> kDraining
 //
-// Data-plane flow (batched wire path, DESIGN.md §8):
-//   worker, readable:  socket --FrameReader bulk decode--> per message:
-//                      [bandwidth recv pacing] --> recv buffer
-//   engine thread:     recv buffer --batch pop, switch/algorithm--> send
-//                      buffer, then notify_send()
-//   worker, pump:      send buffer --batch pop--> per message: [bandwidth
-//                      send pacing, splitting the flush at every throttle
-//                      boundary] --scatter-gather sendmsg--> socket
+// Data-plane flow (batched wire path, DESIGN.md §8), all on one worker:
+//   readable:     socket --FrameReader bulk decode--> per message:
+//                 [bandwidth recv pacing] --> recv buffer, then the
+//                 owner's switch pass is scheduled (on_link_ready)
+//   switch pass:  recv buffer --batch pop, algorithm--> send buffer,
+//                 then notify_send() defers one pump to after the pass
+//   pump:         send buffer --batch pop--> per message: [bandwidth send
+//                 pacing, splitting the flush at every throttle boundary]
+//                 --scatter-gather sendmsg--> socket
 //
 // Pacing sleeps become reactor timers, and the flush-before-sleep rule
-// keeps emulated departure/arrival times exact. Back-pressure translates
-// from blocking queue calls to event-loop parking:
+// keeps emulated departure/arrival times exact. Back-pressure is
+// event-loop parking:
 //   * recv buffer full  -> stop reading (drop EPOLLIN; kernel window
-//     fills; TCP pushes back) until the engine drains the buffer and
+//     fills; TCP pushes back) until the switch drains the buffer and
 //     calls notify_recv_space();
-//   * send buffer empty -> do nothing until the engine pushes and calls
+//   * send buffer empty -> do nothing until the switch pushes and calls
 //     notify_send().
 //
 // Control-plane messages received on the link (anything but kData) bypass
-// the buffers and are posted straight to the engine's internal sink —
-// the moral equivalent of the paper's trick of "passing application-layer
-// messages across thread boundaries via the publicized port". Failures
-// are reported the same way (kPeerFailed / kSendFailed).
+// the buffers and go straight to the owner (on_link_message), as do
+// failures (on_link_failed). A link dialed with ConnKind::kControl (the
+// observer and proxy planes) hands every message to the owner and skips
+// bandwidth emulation.
 //
-// Threading: start/stop/join/notify_* are called from the engine thread;
-// every other method runs on the owning reactor worker. The two sides meet
-// only through atomics, the thread-safe queues, and Worker::submit (whose
-// per-worker FIFO ordering guarantees that a notify task submitted before
-// the stop task can never observe the link after teardown).
+// Threading: every method, constructor and destructor included, runs on
+// the link's worker thread; nothing here is shared with another thread.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <deque>
-#include <mutex>
+#include <memory>
 #include <vector>
 
 #include "common/bounded_queue.h"
@@ -73,92 +69,122 @@ struct Inbound {
   TimePoint enqueued_at = 0;
 };
 
-/// Where links deposit messages for the engine thread.
-class InternalSink {
+class PeerLink;
+
+/// The engine side of a link. Every call arrives on the link's worker
+/// thread, from inside one of the link's own callbacks: implementations
+/// must not destroy the link before the call returns.
+class LinkOwner {
  public:
-  virtual ~InternalSink() = default;
-  /// Enqueues a message for the engine thread and wakes it.
-  virtual void post(MsgPtr m) = 0;
-  /// Wakes the engine thread without a message (buffer state changed).
-  virtual void wake() = 0;
+  virtual ~LinkOwner() = default;
+  /// A control-plane message arrived.
+  virtual void on_link_message(PeerLink& link, MsgPtr m) = 0;
+  /// The link pushed into its receive buffer or freed send-buffer space.
+  virtual void on_link_ready(PeerLink& /*link*/) {}
+  /// The link failed (kPeerFailed or kSendFailed) and has detached.
+  virtual void on_link_failed(PeerLink& link, MsgType kind) = 0;
+  /// A link this node dialed decoded its first frame, which the link
+  /// holds back until this returns; the owner may attach the peer's
+  /// crossing connection with drain_crossing(), ahead of that frame.
+  virtual void on_first_frame(PeerLink& /*link*/) {}
 };
 
 class PeerLink final : public reactor::EventHandler {
  public:
   /// Takes ownership of `conn`. `config` supplies the buffer capacities
-  /// and the connect timeout; `metrics` must outlive the link. `pool`
-  /// serves the large-frame payload slabs and must outlive the link (the
-  /// engine owns both). `worker` drives the link for its whole life.
+  /// and the connect timeout (read during construction only); `metrics`
+  /// must outlive the link. `pool` serves the large-frame payload slabs
+  /// and must outlive the link (the engine owns both). `worker` drives
+  /// the link for its whole life and must be the calling thread.
   /// `dial_pending` means `conn` came from TcpConn::connect_start and the
-  /// TCP handshake (then our hello) must complete on the worker before
-  /// frames flow; false means an accepted, hello-completed socket.
+  /// TCP handshake (then our hello of `kind`) must complete before frames
+  /// flow; false means an accepted, hello-completed socket.
   PeerLink(NodeId self, NodeId peer, TcpConn conn, const EngineConfig& config,
-           BandwidthEmulator& bandwidth, const Clock& clock,
-           InternalSink& sink, obs::MetricsRegistry& metrics, SlabPool& pool,
-           reactor::Worker& worker, bool dial_pending = false);
+           BandwidthEmulator& bandwidth, const Clock& clock, LinkOwner& owner,
+           obs::MetricsRegistry& metrics, SlabPool& pool,
+           reactor::Worker& worker, bool dial_pending = false,
+           ConnKind kind = ConnKind::kPersistent);
   ~PeerLink() override;
 
   PeerLink(const PeerLink&) = delete;
   PeerLink& operator=(const PeerLink&) = delete;
 
-  // --- Engine-thread API ---------------------------------------------------
-
-  /// Registers the socket with the worker (asynchronously).
+  /// Registers the socket with the worker and starts the state machine.
+  /// Never calls back into the owner before returning (a failure to
+  /// register is reported from a deferred call).
   void start();
 
-  /// The engine pushed into the send buffer: schedule a send pump
-  /// (deduplicated — at most one pump task in flight).
+  /// The switch pushed into the send buffer: pump once after the current
+  /// pass (deduplicated).
   void notify_send();
 
-  /// The engine drained the receive buffer: resume a reader parked on a
-  /// full buffer (no-op otherwise).
+  /// The switch drained the receive buffer: resume a reader parked on a
+  /// full buffer after the current pass (no-op otherwise).
   void notify_recv_space();
 
-  /// Initiates teardown: closes both buffers, shuts the socket down, and
-  /// submits the teardown task to the worker. Idempotent.
+  /// Tears the link down now: deregisters the socket, cancels its timers,
+  /// accounts undelivered egress as lost and shuts the socket down (the
+  /// peer sees EOF). Idempotent; no callback follows.
   void stop();
 
-  /// Blocks until the teardown task has run on the worker; after this no
-  /// worker code touches the link again. Call after stop().
-  void join();
+  /// This link replaces `old`, a connection to the same peer (the
+  /// dropped side of a crossing dial, or one the peer gave up on): every
+  /// message `old` had not completely written — staged frames (a partly
+  /// written one is sent again whole), popped and paced messages, then
+  /// its send buffer — goes out first, oldest first, and `old`'s meters
+  /// carry over. Call before start(); `old` is left empty.
+  void take_over(PeerLink& old);
+
+  /// Crossing dial, surviving side: `old` is the peer's own dial, which
+  /// the peer is dropping. Its frames are read to EOF (a truncated last
+  /// frame is discarded; the peer resends it whole) and delivered before
+  /// anything this link reads from then on.
+  void drain_crossing(TcpConn old);
 
   const NodeId& peer() const { return peer_; }
 
-  /// Receive buffer the engine's switch drains. Engine-thread consumers
-  /// should use try_pop().
+  /// True for a link this node dialed.
+  bool dialed() const { return dial_pending_; }
+
+  /// Receive buffer the switch drains.
   BoundedQueue<Inbound>& recv_buffer() { return recv_buffer_; }
   const BoundedQueue<Inbound>& recv_buffer() const { return recv_buffer_; }
 
-  /// Send buffer the switch fills (try_push from the engine thread).
+  /// Send buffer the switch fills.
   BoundedQueue<MsgPtr>& send_buffer() { return send_buffer_; }
   const BoundedQueue<MsgPtr>& send_buffer() const { return send_buffer_; }
 
   /// Refreshes the queue-depth gauges; the engine calls this from the
-  /// switch so depth tracks the data plane without extra locking here.
+  /// switch so depth tracks the data plane.
   void update_queue_gauges();
 
   const ThroughputMeter& up_meter() const { return up_meter_; }
   const ThroughputMeter& down_meter() const { return down_meter_; }
   ThroughputMeter& down_meter() { return down_meter_; }
 
-  /// True once the link has observed a fatal socket error.
-  bool failed() const { return failed_.load(std::memory_order_relaxed); }
-
   /// Emulated sender-side message loss (kSetLoss fault injection): each
   /// queued message is dropped with this probability before hitting the
-  /// wire, accounted in the down-direction loss meters. Thread safe.
+  /// wire, accounted in the down-direction loss meters.
   void set_send_loss(double probability);
-
-  // --- Worker-thread entry point -------------------------------------------
 
   void on_event(u32 events) override;
 
  private:
   enum class State { kConnecting, kHandshaking, kEstablished, kDraining };
 
-  // All private methods run on the worker thread.
-  void ws_start();
-  void ws_connect_ready();
+  /// The peer's dropped crossing connection, read to EOF before this
+  /// link's own socket.
+  struct Predecessor final : reactor::EventHandler {
+    Predecessor(PeerLink& l, TcpConn c, SlabPool& pool)
+        : link(l), conn(std::move(c)), reader(conn, pool) {}
+    void on_event(u32) override { link.pump_recv(); }
+    PeerLink& link;
+    TcpConn conn;
+    FrameReader reader;
+    bool registered = false;
+  };
+
+  void connect_ready();
   void pump_send();
   void pump_recv();
   void on_send_pace_done();
@@ -175,26 +201,29 @@ class PeerLink final : public reactor::EventHandler {
   bool flush_wire();
 
   /// Hands the decoded batch to the switch. On a full buffer parks the
-  /// reader (recv_full_, EPOLLIN off, engine woken) and returns false.
+  /// reader (recv_full_, EPOLLIN off) and returns false.
   bool flush_inbound();
 
   /// Post-pacing half of message delivery: meters, then route to the
-  /// recv buffer (kData) or the internal sink (control).
+  /// recv buffer (kData) or the owner (control).
   void account_and_route(MsgPtr m);
 
   /// True while the reader must not consume more input.
-  bool read_parked() const { return paced_ || held_ctrl_ || recv_full_; }
+  bool reading_blocked() const { return paced_ || held_ctrl_ || recv_full_; }
 
-  /// Marks the link failed, notifies the engine (unless stopping), and
-  /// detaches.
+  /// Marks the link failed, detaches, and tells the owner.
   void fail(MsgType kind);
 
-  /// Removes the fd and timers from the worker and accounts every
-  /// undelivered egress message as lost. Idempotent.
+  /// Removes the fds, timers and deferred calls from the worker and
+  /// accounts every undelivered egress message as lost. Idempotent.
   void detach();
 
-  /// Recomputes the epoll interest mask from the parked/blocked flags.
+  /// Recomputes the epoll interest masks from the parked/blocked flags.
   void update_interest();
+
+  /// Moves out every message not yet completely on the wire, oldest
+  /// first.
+  std::vector<MsgPtr> take_unsent();
 
   /// Loss accounting shared by every sender-side drop site.
   void count_send_loss(const Msg& m);
@@ -206,9 +235,11 @@ class PeerLink final : public reactor::EventHandler {
   TcpConn conn_;
   BandwidthEmulator& bandwidth_;
   const Clock& clock_;
-  InternalSink& sink_;
+  LinkOwner& owner_;
+  SlabPool& pool_;
   reactor::Worker& worker_;
   const bool dial_pending_;
+  const ConnKind kind_;
   const Duration connect_timeout_;
 
   BoundedQueue<Inbound> recv_buffer_;
@@ -216,8 +247,8 @@ class PeerLink final : public reactor::EventHandler {
   ThroughputMeter up_meter_;    // bytes received from peer
   ThroughputMeter down_meter_;  // bytes sent to peer
 
-  // Cached registry handles (lock-free atomics on the hot path); `dir` is
-  // "up" for peer→us traffic, "down" for us→peer (paper Fig. 4).
+  // Cached registry handles; `dir` is "up" for peer→us traffic, "down"
+  // for us→peer (paper Fig. 4).
   obs::Counter& up_bytes_;
   obs::Counter& up_msgs_;
   obs::Counter& down_bytes_;
@@ -232,24 +263,28 @@ class PeerLink final : public reactor::EventHandler {
   obs::Counter& down_syscalls_;  ///< sendmsg calls issued by flushes
   obs::Histogram& up_flush_msgs_;    ///< frames decoded per recv refill
   obs::Histogram& down_flush_msgs_;  ///< messages per staged flush
-  obs::Histogram& loop_lag_;         ///< reactor task/timer scheduling lag
+  obs::Histogram& loop_lag_;         ///< reactor timer scheduling lag
 
-  // Injected loss, parts per million; the rng is worker-thread-only.
-  std::atomic<u32> send_loss_ppm_{0};
+  // Injected loss, parts per million.
+  u32 send_loss_ppm_ = 0;
   Rng loss_rng_;
 
-  // --- Worker-thread state -------------------------------------------------
   State state_ = State::kConnecting;
   bool detached_ = false;
   bool registered_ = false;   ///< fd currently added to the worker's epoll
   bool suspended_ = false;    ///< deregistered while parked (HUP/ERR storm)
   u32 interest_ = 0;          ///< current epoll interest mask
+  bool send_deferred_ = false;    ///< a pump is deferred
+  bool resume_deferred_ = false;  ///< a recv resume or continuation is deferred
 
   std::vector<u8> raw_head_;  ///< hello bytes to send before any frame
   std::size_t raw_off_ = 0;
 
   // Receive path.
   FrameReader reader_;
+  std::unique_ptr<Predecessor> predecessor_;
+  bool awaiting_first_frame_;  ///< dialed persistent link, nothing decoded
+  MsgPtr first_frame_;         ///< held while a predecessor drains
   std::vector<Inbound> inbound_;  ///< decoded kData awaiting one batch push
   MsgPtr paced_;      ///< decoded message waiting out a recv pacing timer
   MsgPtr held_ctrl_;  ///< control message waiting for inbound_ to flush
@@ -266,15 +301,6 @@ class PeerLink final : public reactor::EventHandler {
   std::size_t wire_off_ = 0;   ///< bytes of the front frame already sent
   bool send_paced_ = false;    ///< a send pacing timer is pending
   bool write_blocked_ = false; ///< last write hit EAGAIN; EPOLLOUT armed
-
-  // --- Cross-thread state --------------------------------------------------
-  std::atomic<bool> send_scheduled_{false};
-  std::atomic<bool> recv_blocked_{false};
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> failed_{false};
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stopped_ = false;  // guarded by stop_mu_
 };
 
 }  // namespace iov::engine

@@ -29,6 +29,10 @@ bool write_hello(TcpConn& conn, const Hello& hello) {
 std::optional<Hello> read_hello(TcpConn& conn) {
   u8 bytes[kHelloBytes];
   if (!conn.read_all(bytes, sizeof(bytes))) return std::nullopt;
+  return decode_hello(bytes);
+}
+
+std::optional<Hello> decode_hello(const u8* bytes) {
   if (codec::read_u32(bytes) != kMagic) return std::nullopt;
   const u32 kind = codec::read_u32(bytes + 4);
   if (kind != static_cast<u32>(ConnKind::kPersistent) &&

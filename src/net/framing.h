@@ -58,6 +58,10 @@ bool write_hello(TcpConn& conn, const Hello& hello);
 /// Reads and validates the hello; nullopt on bad magic or socket error.
 std::optional<Hello> read_hello(TcpConn& conn);
 
+/// Validates the kHelloBytes at `bytes` (the engine gathers them from a
+/// non-blocking socket); nullopt on bad magic, kind or port.
+std::optional<Hello> decode_hello(const u8* bytes);
+
 /// Writes one framed message (header + payload). The two parts go out in
 /// a single scatter-gather syscall, so a header is never its own TCP
 /// segment even with Nagle disabled. False on socket error.

@@ -18,6 +18,12 @@ constexpr int kMaxEvents = 128;
 // Upper bound on one epoll_wait when timers are idle; keeps the loop
 // responsive to stop() even if a wake write were ever lost.
 constexpr Duration kIdleTimeout = millis(500);
+// Deferred calls may defer more calls (a switch pass defers the send
+// pumps it fed, a pump frees space and defers the next pass). Rounds past
+// this bound wait for the next loop iteration, after a zero-timeout
+// epoll_wait, so a busy node cannot starve its worker's sockets: two
+// pass-then-pump cycles, then the sockets get their turn.
+constexpr int kMaxDeferRounds = 4;
 
 }  // namespace
 
@@ -49,12 +55,30 @@ void Worker::stop_and_join() {
   if (thread_.joinable()) thread_.join();
 }
 
-void Worker::submit(std::function<void()> fn, obs::Histogram* lag) {
+void Worker::submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(task_mu_);
-    tasks_.push_back(Task{std::move(fn), RealClock::instance().now(), lag});
+    tasks_.push_back(std::move(fn));
   }
   wake();
+}
+
+void Worker::call(const std::function<void()>& fn) {
+  if (on_worker_thread()) {
+    fn();
+    return;
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  submit([&] {
+    fn();
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+    cv.notify_all();  // under the lock: the waiter owns mu and cv
+  });
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return done; });
 }
 
 void Worker::wake() {
@@ -109,11 +133,27 @@ void Worker::cancel_timers(void* owner) {
   for (auto& t : keep) timers_.push(std::move(t));
 }
 
+void Worker::defer(void* owner, std::function<void()> fn) {
+  deferred_.push_back(Deferred{owner, std::move(fn)});
+}
+
+void Worker::cancel_deferred(void* owner) {
+  // Cancelled entries stay in place (FIFO order of the rest is kept) and
+  // are skipped when their turn comes.
+  for (auto& d : deferred_) {
+    if (d.owner == owner) d.fn = nullptr;
+  }
+  for (std::size_t i = deferring_idx_; i < deferring_.size(); ++i) {
+    if (deferring_[i].owner == owner) deferring_[i].fn = nullptr;
+  }
+}
+
 bool Worker::on_worker_thread() const {
   return std::this_thread::get_id() == thread_.get_id();
 }
 
 Duration Worker::next_timeout() const {
+  if (!deferred_.empty()) return 0;
   if (timers_.empty()) return kIdleTimeout;
   const Duration until = timers_.top().due - RealClock::instance().now();
   return std::clamp<Duration>(until, 0, kIdleTimeout);
@@ -125,12 +165,7 @@ void Worker::run_tasks() {
     std::lock_guard<std::mutex> lock(task_mu_);
     running_.swap(tasks_);
   }
-  for (auto& task : running_) {
-    if (task.lag != nullptr) {
-      task.lag->observe_duration(RealClock::instance().now() - task.submitted);
-    }
-    task.fn();
-  }
+  for (auto& task : running_) task();
   running_.clear();
 }
 
@@ -142,6 +177,21 @@ void Worker::fire_timers() {
     timers_.pop();
     if (t.lag != nullptr) t.lag->observe_duration(now - t.due);
     t.fn();
+  }
+}
+
+void Worker::run_deferred() {
+  for (int round = 0; round < kMaxDeferRounds && !deferred_.empty(); ++round) {
+    deferring_.swap(deferred_);
+    for (deferring_idx_ = 0; deferring_idx_ < deferring_.size();) {
+      // Move the call out first: it may cancel later entries of this
+      // round, or destroy the object that owns it.
+      std::function<void()> fn = std::move(deferring_[deferring_idx_].fn);
+      ++deferring_idx_;
+      if (fn) fn();
+    }
+    deferring_.clear();
+    deferring_idx_ = 0;
   }
 }
 
@@ -179,6 +229,7 @@ void Worker::loop() {
     }
     run_tasks();
     fire_timers();
+    run_deferred();
   }
   // Drain any final tasks so teardown work submitted just before stop
   // (e.g. link detach) still runs and nobody waits forever on it.

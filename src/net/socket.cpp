@@ -304,10 +304,10 @@ std::optional<TcpListener> TcpListener::listen(u16 port, bool loopback_only,
 
 std::optional<TcpConn> TcpListener::accept() {
   while (true) {
-    const int client = ::accept(fd_.get(), nullptr, nullptr);
+    const int client =
+        ::accept4(fd_.get(), nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (client >= 0) {
       Fd cfd(client);
-      set_nonblocking(client, false);
       set_nodelay(client);
       return TcpConn(std::move(cfd));
     }
@@ -332,6 +332,12 @@ u64 raise_nofile_limit() {
     return static_cast<u64>(lim.rlim_cur);
   }();
   return cap;
+}
+
+bool TcpConn::connect_resolved() const {
+  pollfd pfd{fd_.get(), POLLOUT, 0};
+  return ::poll(&pfd, 1, 0) > 0 &&
+         (pfd.revents & (POLLOUT | POLLERR | POLLHUP)) != 0;
 }
 
 bool wait_readable(int fd, Duration timeout) {

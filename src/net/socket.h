@@ -3,9 +3,9 @@
 // descriptors can never leak, and all error paths reduce to "the call
 // returned false / nullopt and errno says why".
 //
-// Peer links drive non-blocking sockets from the epoll reactor; the
-// control, observer and proxy planes still use blocking reads and
-// writes. Both styles are supported here.
+// Engines drive non-blocking sockets from the epoll reactor; the
+// observer and proxy daemons still use blocking reads and writes. Both
+// styles are supported here.
 #pragma once
 
 #include <sys/uio.h>
@@ -70,6 +70,11 @@ class TcpConn {
   /// checks SO_ERROR and sets TCP_NODELAY. False means the connect
   /// failed (errno holds the reason).
   bool finish_connect();
+
+  /// True when a connect_start() has already resolved (the socket is
+  /// writable or in error), checked without waiting. On loopback the
+  /// handshake usually completes inside connect() itself.
+  bool connect_resolved() const;
 
   bool valid() const { return fd_.valid(); }
   int fd() const { return fd_.get(); }
@@ -154,7 +159,9 @@ class TcpListener {
   u16 port() const { return port_; }
 
   /// Accepts one pending connection; nullopt if none is pending (the
-  /// listener is non-blocking) or on error.
+  /// listener is non-blocking) or on error. The accepted socket is
+  /// non-blocking with TCP_NODELAY set; blocking readers call
+  /// set_nonblocking(false) first.
   std::optional<TcpConn> accept();
 
   void close() { fd_.reset(); }

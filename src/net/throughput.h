@@ -5,13 +5,10 @@
 // detected by throughput measurements").
 //
 // The meter keeps a ring of fixed-width time bins; rate() sums the bins
-// inside the sliding window. Writers are the links (on reactor workers)
-// and the reader is the engine thread, so all operations take the internal
-// mutex (measurement happens per message, not per byte, so contention is
-// negligible at emulated rates).
+// inside the sliding window. A link writes it and its engine reads it,
+// both on the same reactor worker, so the meter takes no lock.
 #pragma once
 
-#include <mutex>
 #include <vector>
 
 #include "common/types.h"
@@ -29,6 +26,11 @@ class ThroughputMeter {
   /// Records bytes lost due to a failure (never counted in rate()).
   void record_loss(std::size_t bytes);
 
+  /// Adds everything `older` measured (totals, losses, the traffic still
+  /// inside its window) to this meter: one connection to a peer took over
+  /// from another. Both must have the same window and bin count.
+  void absorb(const ThroughputMeter& older);
+
   /// Average throughput over the window ending at `now`, bytes/second.
   double rate(TimePoint now) const;
 
@@ -41,12 +43,12 @@ class ThroughputMeter {
   u64 lost_msgs() const;
 
  private:
-  void roll_locked(TimePoint now) const;
+  /// Advances the ring so `bin` (absolute) is the newest.
+  void roll_to(i64 bin) const;
 
   const Duration bin_width_;
   const int bin_count_;
 
-  mutable std::mutex mu_;
   mutable std::vector<u64> bins_;
   mutable i64 head_bin_ = 0;  // absolute index of the newest bin
   u64 total_bytes_ = 0;

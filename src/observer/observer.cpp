@@ -89,6 +89,7 @@ void Observer::observer_main() {
 
 void Observer::handle_accept() {
   while (auto conn = listener_.accept()) {
+    conn->set_nonblocking(false);  // this daemon reads with blocking calls
     if (!wait_readable(conn->fd(), kHelloTimeout)) continue;
     const auto hello = read_hello(*conn);
     if (!hello || hello->kind != ConnKind::kControl) continue;

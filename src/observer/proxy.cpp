@@ -69,6 +69,7 @@ void Proxy::proxy_main() {
 
 void Proxy::handle_accept() {
   while (auto conn = listener_.accept()) {
+    conn->set_nonblocking(false);  // this daemon reads with blocking calls
     if (!wait_readable(conn->fd(), kHelloTimeout)) continue;
     const auto hello = read_hello(*conn);
     if (!hello || hello->kind != ConnKind::kControl) continue;

@@ -64,8 +64,12 @@ bool make_chain(observer::Observer& obs, Chain* chain) {
   chain->relay_b->add_child(kApp, chain->c->self());
   chain->relay_c->set_consume(kApp, true);
   chain->a->deploy_source(kApp);
+  // Engines dial the observer asynchronously on their reactor worker, so
+  // data can flow before the observer has registered a node; observer
+  // commands need every node's connection.
   return wait_until([&] { return chain->sink->stats(0).bytes > 10000; },
-                    seconds(10.0));
+                    seconds(10.0)) &&
+         wait_until([&] { return obs.nodes().size() == 3; }, seconds(10.0));
 }
 
 TEST(ChaosReal, KillMidStreamTearsDownDownstreamSession) {

@@ -154,7 +154,10 @@ TEST(EngineFailures, DeliberateCloseLinkDoesNotRaiseBrokenLinkLocally) {
   // failure. Wait for the termination to land (source flag clears) and
   // the last queued sends to drain before removing the child.
   a.engine->terminate_source(kApp);
-  ASSERT_TRUE(wait_until([&] { return !a.engine->is_source(kApp); }));
+  // snapshot(), not is_source(): EngineApi calls belong to the node's
+  // worker, the snapshot is the thread-safe view.
+  ASSERT_TRUE(wait_until(
+      [&] { return a.engine->snapshot().source_apps.empty(); }));
   a.engine->post(Msg::control(MsgType::kControl, NodeId(), kControlApp,
                               RelayAlgorithm::kRemoveChild,
                               static_cast<i32>(kApp), b_id.to_string()));

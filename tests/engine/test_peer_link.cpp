@@ -4,17 +4,21 @@
 //     PeerLink must produce exactly the byte stream docs/PROTOCOLS.md
 //     specifies (16-byte hello, then 24-byte headers and payloads), and
 //     the same bytes written into an accepting PeerLink must decode back
-//     to the same messages: data into recv_buffer(), control to the sink;
+//     to the same messages: data into recv_buffer(), control to the owner;
 //   * the send tail — a send buffer filled once and notified once must
 //     drain completely to a peer that reads slowly, with no further help
 //     from the engine.
+// A link lives on its worker: the tests create, drive and destroy it
+// there through Worker::call.
 #include "engine/peer_link.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "engine_test_util.h"
@@ -27,14 +31,15 @@ namespace {
 using reactor::Reactor;
 using test::wait_until;
 
-/// Records control posts for inspection.
-class RecordingSink final : public InternalSink {
+/// Records control messages for inspection.
+class RecordingSink final : public LinkOwner {
  public:
-  void post(MsgPtr m) override {
+  void on_link_message(PeerLink&, MsgPtr m) override {
     std::lock_guard<std::mutex> lock(mu_);
     posted_.push_back(std::move(m));
   }
-  void wake() override {}
+  void on_link_failed(PeerLink&, MsgType) override { failed_.store(true); }
+  bool failed() const { return failed_.load(); }
 
   std::vector<MsgPtr> posted() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -44,23 +49,39 @@ class RecordingSink final : public InternalSink {
  private:
   mutable std::mutex mu_;
   std::vector<MsgPtr> posted_;
+  std::atomic<bool> failed_{false};
 };
 
 /// Everything a bare PeerLink needs besides its socket.
 struct Fixture {
-  Reactor pool{2};
+  Reactor pool{1};
+  reactor::Worker& worker = pool.pick();
   SlabPool slabs;
   obs::MetricsRegistry metrics;
   BandwidthEmulator bandwidth;
   RecordingSink sink;
   EngineConfig config;
 
+  /// Creates the link on the worker; pushes `queued` into its send
+  /// buffer, then starts it and notifies it once.
   std::unique_ptr<PeerLink> link(NodeId self, NodeId peer, TcpConn conn,
-                                 bool dial_pending) {
-    return std::make_unique<PeerLink>(self, peer, std::move(conn), config,
-                                      bandwidth, RealClock::instance(), sink,
-                                      metrics, slabs, pool.pick(),
-                                      dial_pending);
+                                 bool dial_pending,
+                                 const std::vector<MsgPtr>& queued = {}) {
+    std::unique_ptr<PeerLink> out;
+    worker.call([&] {
+      out = std::make_unique<PeerLink>(self, peer, std::move(conn), config,
+                                       bandwidth, RealClock::instance(), sink,
+                                       metrics, slabs, worker, dial_pending);
+      for (const auto& m : queued) out->send_buffer().try_push(m);
+      out->start();
+      out->notify_send();
+    });
+    return out;
+  }
+
+  /// Destroys the link on its worker (teardown sends the peer EOF).
+  void destroy(std::unique_ptr<PeerLink>& link) {
+    worker.call([&] { link.reset(); });
   }
 };
 
@@ -154,24 +175,19 @@ TEST(PeerLinkGolden, DialingLinkWritesTheDocumentedBytes) {
   auto conn = TcpConn::connect_start(acceptor);
   ASSERT_TRUE(conn.has_value());
   auto link = fx.link(kDialer, acceptor, std::move(*conn),
-                      /*dial_pending=*/true);
-  for (const auto& m : golden_msgs()) {
-    ASSERT_TRUE(link->send_buffer().try_push(m));
-  }
-  link->start();
-  link->notify_send();
+                      /*dial_pending=*/true, golden_msgs());
 
   ASSERT_TRUE(wait_readable(listener->fd(), seconds(2.0)));
   auto raw = listener->accept();
   ASSERT_TRUE(raw.has_value());
+  ASSERT_TRUE(raw->set_nonblocking(false));
   const std::vector<u8> want = golden_stream();
   std::vector<u8> got(want.size());
   ASSERT_TRUE(raw->read_all(got.data(), got.size()));
   EXPECT_EQ(first_mismatch(got, want), -1);
 
   // Nothing follows the last frame: after teardown the peer sees EOF.
-  link->stop();
-  link->join();
+  fx.destroy(link);
   u8 extra = 0;
   EXPECT_EQ(raw->read_some(&extra, 1), 0);
 }
@@ -193,25 +209,30 @@ TEST(PeerLinkGolden, AcceptingLinkDecodesTheDocumentedBytes) {
   auto accepted = listener->accept();
   ASSERT_TRUE(accepted.has_value());
   // The engine consumes the hello before it hands the socket to a link.
+  ASSERT_TRUE(accepted->set_nonblocking(false));
   const auto hello = read_hello(*accepted);
   ASSERT_TRUE(hello.has_value());
   EXPECT_EQ(hello->kind, ConnKind::kPersistent);
   EXPECT_EQ(hello->sender, kDialer);
+  ASSERT_TRUE(accepted->set_nonblocking(true));
   auto link = fx.link(self, hello->sender, std::move(*accepted),
                       /*dial_pending=*/false);
-  link->start();
 
   ASSERT_TRUE(wait_until([&] {
-    return link->recv_buffer().size() == 4 && fx.sink.posted().size() == 1;
+    std::size_t buffered = 0;
+    fx.worker.call([&] { buffered = link->recv_buffer().size(); });
+    return buffered == 4 && fx.sink.posted().size() == 1;
   }));
 
   std::vector<MsgPtr> sent = golden_msgs();
   const MsgPtr control = sent[2];
   sent.erase(sent.begin() + 2);
-  for (const auto& want : sent) {
-    auto in = link->recv_buffer().try_pop();
-    ASSERT_TRUE(in.has_value());
-    const Msg& got = *in->msg;
+  std::vector<Inbound> received;
+  fx.worker.call([&] { link->recv_buffer().try_pop_batch(received, 8); });
+  ASSERT_EQ(received.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    const MsgPtr& want = sent[i];
+    const Msg& got = *received[i].msg;
     EXPECT_EQ(got.type(), MsgType::kData);
     EXPECT_EQ(got.origin(), kOrigin);
     EXPECT_EQ(got.app(), kGoldenApp);
@@ -226,8 +247,93 @@ TEST(PeerLinkGolden, AcceptingLinkDecodesTheDocumentedBytes) {
   EXPECT_EQ(got->param(1), -2);
   EXPECT_EQ(got->param_text(), "hi");
   EXPECT_EQ(got->payload()->bytes(), control->payload()->bytes());
-  link->stop();
-  link->join();
+  fx.destroy(link);
+}
+
+// ---------------------------------------------------------------------------
+// Crossing dial, surviving side
+// ---------------------------------------------------------------------------
+
+/// A dialed link whose peer is played by raw sockets: `main` is the
+/// accepted end of the link's own dial, `crossing` the peer's end of a
+/// second connection whose other end the link drains.
+struct Crossing {
+  std::unique_ptr<PeerLink> link;
+  std::optional<TcpConn> main;
+  std::optional<TcpConn> crossing;
+  std::optional<TcpConn> crossing_accepted;  // handed to drain_crossing
+};
+
+bool open_crossing(Fixture& fx, Crossing* c) {
+  auto l1 = TcpListener::listen(0);
+  auto l2 = TcpListener::listen(0);
+  if (!l1 || !l2) return false;
+  const NodeId peer = NodeId::loopback(l1->port());
+  auto dial = TcpConn::connect_start(peer);
+  if (!dial) return false;
+  c->link = fx.link(NodeId::loopback(1), peer, std::move(*dial),
+                    /*dial_pending=*/true);
+  if (!wait_readable(l1->fd(), seconds(2.0))) return false;
+  c->main = l1->accept();
+  if (!c->main || !c->main->set_nonblocking(false) || !read_hello(*c->main)) {
+    return false;
+  }
+  c->crossing = TcpConn::connect(NodeId::loopback(l2->port()), seconds(1.0));
+  if (!c->crossing || !wait_readable(l2->fd(), seconds(1.0))) return false;
+  c->crossing_accepted = l2->accept();
+  return c->crossing_accepted.has_value();
+}
+
+MsgPtr numbered(u32 seq) {
+  return Msg::data(NodeId::loopback(2), 1, seq, Buffer::pattern(100, seq));
+}
+
+/// Waits for `n` messages in the link's receive buffer and pops them.
+std::vector<u32> received(Fixture& fx, PeerLink& link, std::size_t n) {
+  std::vector<u32> seqs;
+  wait_until([&] {
+    std::vector<Inbound> batch;
+    fx.worker.call([&] { link.recv_buffer().try_pop_batch(batch, 64); });
+    for (const auto& in : batch) seqs.push_back(in.msg->seq());
+    return seqs.size() >= n;
+  });
+  return seqs;
+}
+
+TEST(PeerLinkCrossing, CrossingFoundBeforeAnyFrameIsDeliveredFirst) {
+  Fixture fx;
+  Crossing c;
+  ASSERT_TRUE(open_crossing(fx, &c));
+  fx.worker.call([&] { c.link->drain_crossing(std::move(*c.crossing_accepted)); });
+  // The surviving link's frames are on the wire first, yet the crossing
+  // connection's older frames must be delivered ahead of them.
+  for (u32 seq : {10u, 11u, 12u}) ASSERT_TRUE(write_msg(*c.main, *numbered(seq)));
+  sleep_for(millis(20));
+  for (u32 seq : {0u, 1u}) ASSERT_TRUE(write_msg(*c.crossing, *numbered(seq)));
+  c.crossing->shutdown_write();
+  EXPECT_EQ(received(fx, *c.link, 5),
+            (std::vector<u32>{0, 1, 10, 11, 12}));
+  EXPECT_FALSE(fx.sink.failed());
+  fx.destroy(c.link);
+}
+
+TEST(PeerLinkCrossing, CrossingFoundLateLosesNothingAndKeepsTheLink) {
+  Fixture fx;
+  Crossing c;
+  ASSERT_TRUE(open_crossing(fx, &c));
+  for (u32 seq : {10u, 11u}) ASSERT_TRUE(write_msg(*c.main, *numbered(seq)));
+  ASSERT_EQ(received(fx, *c.link, 2), (std::vector<u32>{10, 11}));
+  // Frames were delivered already: the crossing is still read to EOF
+  // first, and its EOF ends only the crossing connection, not the link.
+  fx.worker.call([&] { c.link->drain_crossing(std::move(*c.crossing_accepted)); });
+  for (u32 seq : {0u, 1u}) ASSERT_TRUE(write_msg(*c.crossing, *numbered(seq)));
+  c.crossing->shutdown_write();
+  ASSERT_TRUE(write_msg(*c.main, *numbered(12)));
+  EXPECT_EQ(received(fx, *c.link, 3), (std::vector<u32>{0, 1, 12}));
+  ASSERT_TRUE(write_msg(*c.main, *numbered(13)));  // the link lives on
+  EXPECT_EQ(received(fx, *c.link, 1), (std::vector<u32>{13}));
+  EXPECT_FALSE(fx.sink.failed());
+  fx.destroy(c.link);
 }
 
 // ---------------------------------------------------------------------------
@@ -252,17 +358,19 @@ std::size_t run_tail_cycle(Fixture& fx) {
                                seconds(1.0), kSocketBytes);
   if (!conn || !wait_readable(listener->fd(), seconds(1.0))) return 0;
   auto raw = listener->accept();
-  if (!raw) return 0;
-
-  auto link = fx.link(NodeId::loopback(1), NodeId::loopback(2),
-                      std::move(*conn), /*dial_pending=*/false);
-  for (std::size_t i = 0; i < kTailMsgs; ++i) {
-    link->send_buffer().try_push(
-        Msg::data(NodeId::loopback(1), 1, static_cast<u32>(i),
-                  Buffer::pattern(kTailPayload, static_cast<u32>(i))));
+  if (!raw || !raw->set_nonblocking(false) || !conn->set_nonblocking(true)) {
+    return 0;
   }
-  link->start();
-  link->notify_send();  // the only notification this buffer ever gets
+
+  std::vector<MsgPtr> msgs;
+  for (std::size_t i = 0; i < kTailMsgs; ++i) {
+    msgs.push_back(Msg::data(NodeId::loopback(1), 1, static_cast<u32>(i),
+                             Buffer::pattern(kTailPayload,
+                                             static_cast<u32>(i))));
+  }
+  // One notification is the only help this buffer ever gets.
+  auto link = fx.link(NodeId::loopback(1), NodeId::loopback(2),
+                      std::move(*conn), /*dial_pending=*/false, msgs);
 
   // Read in small pieces so the link keeps hitting a full socket.
   const std::size_t frame = Msg::kHeaderSize + kTailPayload;
@@ -274,8 +382,7 @@ std::size_t run_tail_cycle(Fixture& fx) {
     if (n <= 0) break;
     bytes.insert(bytes.end(), chunk, chunk + n);
   }
-  link->stop();
-  link->join();
+  fx.destroy(link);
 
   std::size_t in_order = 0;
   for (std::size_t off = 0; off + frame <= bytes.size(); off += frame) {

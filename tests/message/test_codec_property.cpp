@@ -45,6 +45,7 @@ TEST(FramingProperty, RandomPayloadsSurviveSockets) {
   ASSERT_TRUE(wait_readable(listener->fd(), seconds(1.0)));
   auto server = listener->accept();
   ASSERT_TRUE(server.has_value());
+  ASSERT_TRUE(server->set_nonblocking(false));
 
   Rng rng(99);
   for (int i = 0; i < 200; ++i) {

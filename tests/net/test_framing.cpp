@@ -29,6 +29,7 @@ Pair make_pair() {
   EXPECT_TRUE(wait_readable(listener->fd(), seconds(1.0)));
   auto server = listener->accept();
   EXPECT_TRUE(server.has_value());
+  EXPECT_TRUE(server->set_nonblocking(false));  // the tests read blocking
   return Pair{std::move(*client), std::move(*server)};
 }
 

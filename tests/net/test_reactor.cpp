@@ -24,7 +24,7 @@ namespace iov {
 namespace {
 
 using engine::EngineConfig;
-using engine::InternalSink;
+using engine::LinkOwner;
 using engine::PeerLink;
 using reactor::EventHandler;
 using reactor::Reactor;
@@ -125,6 +125,74 @@ TEST(ReactorWorker, FdReadinessDispatchesToHandler) {
   ::close(sp[0]);
 }
 
+TEST(ReactorWorker, DeferredCallsRunAfterTheBatchInFifoOrder) {
+  Worker w;
+  w.start();
+  std::vector<std::string> order;  // touched on the worker only
+  int owner_a = 0;
+  int owner_b = 0;
+  w.call([&] {
+    w.defer(&owner_a, [&] {
+      order.push_back("d1");
+      // Deferred from a deferred call: same pass, after the rest.
+      w.defer(&owner_a, [&] { order.push_back("d3"); });
+    });
+    w.defer(&owner_b, [&] { order.push_back("cancelled"); });
+    w.defer(&owner_a, [&] { order.push_back("d2"); });
+    w.cancel_deferred(&owner_b);
+    order.push_back("task");
+  });
+  w.call([] {});  // a later loop iteration: the deferred pass is over
+  EXPECT_EQ(order, (std::vector<std::string>{"task", "d1", "d2", "d3"}));
+  w.stop_and_join();
+}
+
+TEST(ReactorWorker, CallRunsInlineOnTheWorker) {
+  Worker w;
+  w.start();
+  bool inner_ran = false;
+  w.call([&] {
+    w.call([&] { inner_ran = true; });  // would deadlock if it queued
+    EXPECT_TRUE(inner_ran);
+    EXPECT_TRUE(w.on_worker_thread());
+  });
+  EXPECT_TRUE(inner_ran);
+  EXPECT_FALSE(w.on_worker_thread());
+  w.stop_and_join();
+}
+
+/// Re-defers itself until told to stop: a node that always has work.
+struct Spinner {
+  Worker& w;
+  std::atomic<bool> stop{false};
+  std::atomic<u64> runs{0};
+  void go() {
+    runs.fetch_add(1);
+    if (!stop.load()) w.defer(this, [this] { go(); });
+  }
+};
+
+TEST(ReactorWorker, EndlessDeferredWorkDoesNotStarveSockets) {
+  Worker w;
+  w.start();
+  int sp[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sp), 0);
+  Recorder rec(w, sp[0]);
+  Spinner spin{w};
+  w.call([&] {
+    ASSERT_TRUE(w.add_fd(sp[0], EPOLLIN, &rec));
+    spin.go();
+  });
+  ASSERT_EQ(::send(sp[1], "ping", 4, 0), 4);
+  EXPECT_TRUE(wait_until([&] { return rec.got() == "ping"; }));
+  EXPECT_GT(spin.runs.load(), 1u);
+  spin.stop.store(true);
+  w.call([&] { w.cancel_deferred(&spin); });
+  w.stop_and_join();
+  ::close(sp[0]);
+  ::close(sp[1]);
+}
+
 TEST(ReactorPool, PickRoundRobinsAcrossWorkers) {
   Reactor pool(2);
   EXPECT_EQ(pool.threads(), 2);
@@ -159,17 +227,18 @@ std::size_t thread_count() {
   return 0;
 }
 
-/// Records control posts; enough InternalSink for a bare PeerLink.
-class NullSink final : public InternalSink {
+/// Ignores everything; enough LinkOwner for a bare PeerLink.
+class NullSink final : public LinkOwner {
  public:
-  void post(MsgPtr) override {}
-  void wake() override {}
+  void on_link_message(PeerLink&, MsgPtr) override {}
+  void on_link_failed(PeerLink&, MsgType) override {}
 };
 
 TEST(ReactorLeak, TwoHundredLinkCyclesLeakNothing) {
   // One shared fixture outside the measured loop: the pools (persist by
   // design), registries, and emulators.
   Reactor pool(1);
+  Worker& worker = pool.pick();
   SlabPool slabs;
   obs::MetricsRegistry metrics_a;
   obs::MetricsRegistry metrics_b;
@@ -188,27 +257,38 @@ TEST(ReactorLeak, TwoHundredLinkCyclesLeakNothing) {
     ASSERT_TRUE(wait_readable(listener->fd(), seconds(1.0)));
     auto server = listener->accept();
     ASSERT_TRUE(server.has_value());
+    ASSERT_TRUE(client->set_nonblocking(true));
 
-    PeerLink a(self_a, self_b, std::move(*client), config, bandwidth,
-               RealClock::instance(), sink, metrics_a, slabs, pool.pick());
-    PeerLink b(self_b, self_a, std::move(*server), config, bandwidth,
-               RealClock::instance(), sink, metrics_b, slabs, pool.pick());
-    a.start();
-    b.start();
-
-    // Prove the link is live: one data message a→b.
-    ASSERT_TRUE(a.send_buffer().try_push(
-        Msg::data(self_a, 7, 0, Buffer::from_string("leakcheck"))));
-    a.notify_send();
-    ASSERT_TRUE(wait_until([&] { return !b.recv_buffer().empty(); }));
-    auto in = b.recv_buffer().try_pop();
-    ASSERT_TRUE(in.has_value());
+    // Links live on their worker: build, drive and destroy them there.
+    std::unique_ptr<PeerLink> a;
+    std::unique_ptr<PeerLink> b;
+    bool pushed = false;
+    worker.call([&] {
+      a = std::make_unique<PeerLink>(self_a, self_b, std::move(*client),
+                                     config, bandwidth, RealClock::instance(),
+                                     sink, metrics_a, slabs, worker);
+      b = std::make_unique<PeerLink>(self_b, self_a, std::move(*server),
+                                     config, bandwidth, RealClock::instance(),
+                                     sink, metrics_b, slabs, worker);
+      a->start();
+      b->start();
+      // Prove the link is live: one data message a→b.
+      pushed = a->send_buffer().try_push(
+          Msg::data(self_a, 7, 0, Buffer::from_string("leakcheck")));
+      a->notify_send();
+    });
+    ASSERT_TRUE(pushed);
+    std::optional<engine::Inbound> in;
+    ASSERT_TRUE(wait_until([&] {
+      worker.call([&] { in = b->recv_buffer().try_pop(); });
+      return in.has_value();
+    }));
     EXPECT_EQ(in->msg->payload()->size(), 9u);
 
-    a.stop();
-    b.stop();
-    a.join();
-    b.join();
+    worker.call([&] {
+      a.reset();
+      b.reset();
+    });
   };
 
   // Warm-up absorbs lazily created process state (metric rows, etc.).

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -28,6 +29,7 @@ Pair make_pair() {
   EXPECT_TRUE(wait_readable(listener->fd(), seconds(1.0)));
   auto server = listener->accept();
   EXPECT_TRUE(server.has_value());
+  EXPECT_TRUE(server->set_nonblocking(false));  // the tests read blocking
   return Pair{std::move(*client), std::move(*server)};
 }
 
@@ -41,6 +43,22 @@ TEST(Socket, AcceptWithoutPendingReturnsNullopt) {
   auto listener = TcpListener::listen(0);
   ASSERT_TRUE(listener.has_value());
   EXPECT_FALSE(listener->accept().has_value());
+}
+
+TEST(Socket, AcceptedSocketIsNonBlocking) {
+  // An engine reads accepted sockets from a reactor worker, which must
+  // never block: a silent peer has to read as EAGAIN, not as a wait.
+  auto listener = TcpListener::listen(0);
+  ASSERT_TRUE(listener.has_value());
+  auto client = TcpConn::connect(NodeId::loopback(listener->port()),
+                                 seconds(1.0));
+  ASSERT_TRUE(client.has_value());
+  ASSERT_TRUE(wait_readable(listener->fd(), seconds(1.0)));
+  auto server = listener->accept();
+  ASSERT_TRUE(server.has_value());
+  u8 byte = 0;
+  EXPECT_EQ(server->read_some(&byte, 1), -1);
+  EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK);
 }
 
 TEST(Socket, ConnectToClosedPortFails) {

@@ -39,6 +39,36 @@ TEST(ThroughputMeter, TotalsAreCumulative) {
   EXPECT_EQ(meter.total_msgs(), 3u);
 }
 
+TEST(ThroughputMeter, AbsorbCarriesTotalsAndWindowedTraffic) {
+  // Two meters of one peer over the same second (a connection taking
+  // over from another) read like one meter that saw all the traffic.
+  ThroughputMeter older(seconds(1.0), 10);
+  ThroughputMeter newer(seconds(1.0), 10);
+  ThroughputMeter both(seconds(1.0), 10);
+  for (int i = 0; i < 10; ++i) {
+    older.record(1000, millis(100) * i);
+    both.record(1000, millis(100) * i);
+  }
+  older.record_loss(70);
+  both.record_loss(70);
+  for (int i = 10; i < 15; ++i) {
+    newer.record(500, millis(100) * i);
+    both.record(500, millis(100) * i);
+  }
+  newer.absorb(older);
+  EXPECT_EQ(newer.total_bytes(), both.total_bytes());
+  EXPECT_EQ(newer.total_msgs(), both.total_msgs());
+  EXPECT_EQ(newer.lost_bytes(), 70u);
+  EXPECT_EQ(newer.lost_msgs(), 1u);
+  EXPECT_EQ(newer.idle_for(seconds(2.0)), both.idle_for(seconds(2.0)));
+  EXPECT_DOUBLE_EQ(newer.rate(millis(1450)), both.rate(millis(1450)));
+
+  // A fresh meter absorbing an old one continues its window.
+  ThroughputMeter fresh(seconds(1.0), 10);
+  fresh.absorb(older);
+  EXPECT_DOUBLE_EQ(fresh.rate(millis(950)), older.rate(millis(950)));
+}
+
 TEST(ThroughputMeter, LossAccounting) {
   ThroughputMeter meter;
   meter.record(100, 0);

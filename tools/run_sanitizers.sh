@@ -22,9 +22,10 @@ for flavour in $FLAVOURS; do
   # minutes-scale `slow` runs (the 10k-viewer determinism test) are
   # excluded — sanitizer overhead would push them past any sane timeout.
   # Every real-socket suite (test_reactor, test_peer_link and the engine
-  # suites) drives its links through PeerLink on the shared epoll
-  # reactor: the thread flavour is the proof that the lock-free per-link
-  # state machines race neither each other nor the engine.
+  # suites) runs its engines and links on the shared epoll reactor: the
+  # thread flavour is the proof that nothing of a node runs off its
+  # worker — driver calls (post, snapshot, weights) reach it only through
+  # Worker::submit/call.
   (cd "$BUILD" && ctest --output-on-failure -LE slow -j "$JOBS")
 done
 echo "sanitizer runs complete: $FLAVOURS"
