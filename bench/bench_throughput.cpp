@@ -17,8 +17,9 @@
 // window scales with payload size (4x at 64 KB) so the per-run message
 // count stays high enough for a stable estimate at every tier. Rows
 // also record `pool_hit_rate` — the slab pool's share of recycled
-// large-frame payload acquisitions over the window (~1.0 means zero
-// per-message payload allocations; DESIGN.md §8).
+// acquisitions (receive chunks and large-frame payloads) over the
+// window (~1.0 means zero per-message receive allocations; DESIGN.md
+// §8).
 //
 // Flags:
 //   --out <path>   JSON output path (default BENCH_throughput.json)

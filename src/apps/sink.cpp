@@ -1,7 +1,5 @@
 #include "apps/sink.h"
 
-#include <cstring>
-
 #include "message/codec.h"
 
 namespace iov::apps {
@@ -43,10 +41,9 @@ void SinkApp::deliver(const MsgPtr& m, TimePoint now) {
   }
 
   if (expected_payload_ > 0) {
-    const auto expected = Buffer::pattern(expected_payload_, m->seq());
-    if (m->payload_size() != expected->size() ||
-        std::memcmp(m->payload()->data(), expected->data(),
-                    expected->size()) != 0) {
+    if (m->payload_size() != expected_payload_ ||
+        !Buffer::matches_pattern(m->payload()->data(), expected_payload_,
+                                 m->seq())) {
       stats_.corrupt += 1;
     }
   }

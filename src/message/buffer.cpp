@@ -2,17 +2,38 @@
 
 namespace iov {
 
+namespace {
+
+// xorshift32 keeps the pattern cheap yet position dependent.
+class PatternGen {
+ public:
+  explicit PatternGen(u32 seed) : x_(seed * 0x9e3779b9u + 0x85ebca6bu) {}
+  u8 next() {
+    x_ ^= x_ << 13;
+    x_ ^= x_ >> 17;
+    x_ ^= x_ << 5;
+    return static_cast<u8>(x_);
+  }
+
+ private:
+  u32 x_;
+};
+
+}  // namespace
+
 std::vector<u8> Buffer::pattern_bytes(std::size_t n, u32 seed) {
   std::vector<u8> bytes(n);
-  u32 x = seed * 0x9e3779b9u + 0x85ebca6bu;
-  for (std::size_t i = 0; i < n; ++i) {
-    // xorshift32 keeps the pattern cheap yet position dependent.
-    x ^= x << 13;
-    x ^= x >> 17;
-    x ^= x << 5;
-    bytes[i] = static_cast<u8>(x);
-  }
+  PatternGen gen(seed);
+  for (std::size_t i = 0; i < n; ++i) bytes[i] = gen.next();
   return bytes;
+}
+
+bool Buffer::matches_pattern(const u8* data, std::size_t n, u32 seed) {
+  PatternGen gen(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (data[i] != gen.next()) return false;
+  }
+  return true;
 }
 
 BufferPtr Buffer::pattern(std::size_t n, u32 seed) {

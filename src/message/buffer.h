@@ -10,8 +10,9 @@
 // A Buffer either owns its bytes (a vector) or is a *slice*: a view into
 // storage kept alive by a shared owner. Slices are how the bulk frame
 // decoder (net::FrameReader) hands out many payloads from one recv'd
-// chunk without a per-message allocation — the chunk stays alive until
-// the last slice referencing it is released.
+// chunk without a per-message allocation — the chunk is a recycled
+// SlabPool slab that stays alive until the last slice referencing it is
+// released, and then rejoins the pool's freelist.
 #pragma once
 
 #include <cstring>
@@ -96,6 +97,10 @@ class Buffer {
   /// fields into the bytes before wrapping (avoids pattern() + a deep
   /// copy of the freshly built buffer).
   static std::vector<u8> pattern_bytes(std::size_t n, u32 seed);
+
+  /// True when the `n` bytes at `data` are pattern(n, seed); checks in
+  /// place, with no allocation.
+  static bool matches_pattern(const u8* data, std::size_t n, u32 seed);
 
   /// The shared empty buffer.
   static BufferPtr empty_buffer();

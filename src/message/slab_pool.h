@@ -1,9 +1,11 @@
 // Recycled, size-classed payload slabs (DESIGN.md §8).
 //
-// The large-frame receive path needs a payload-sized destination buffer
-// per message; allocating one from the heap costs an allocation plus a
-// full zero-fill of the payload (std::vector value-initializes), which
-// is what made the 64 KB wire tier copy- and allocation-bound. A
+// The receive path needs a destination buffer for every recv: a chunk
+// that many small payloads are sliced from, or a payload-sized buffer
+// per large frame. Allocating one from the heap costs an allocation plus
+// a full zero-fill (std::vector value-initializes), which is what made
+// the 64 KB wire tier copy- and allocation-bound and a low-rate link pay
+// 64 KB per message. A
 // SlabPool keeps freelists of recycled byte slabs in power-of-two size
 // classes: the steady state acquires a warm slab (no allocation, no
 // zeroing, the previous payload's bytes are simply overwritten by the

@@ -104,40 +104,50 @@ FrameReader::FrameReader(TcpConn& conn, SlabPool& pool,
       pool_(pool),
       chunk_bytes_(std::max<std::size_t>(chunk_bytes, 2 * Msg::kHeaderSize)) {}
 
-bool FrameReader::refill(std::size_t cap) {
+bool FrameReader::refill(std::size_t need, std::size_t cap) {
   const std::size_t leftover = available();
-  if (!chunk_) {
-    chunk_ = std::make_shared<std::vector<u8>>(chunk_bytes_);
-  } else if (pos_ == end_ && !chunk_sliced_) {
+  // The size a fresh chunk gets: small after a small recv, never less
+  // than the partial frame carried over plus one header, nor than the
+  // frame this refill must complete (so it still decodes as a slice).
+  const std::size_t base =
+      last_recv_ > kSmallRecvBytes
+          ? chunk_bytes_
+          : std::min(SlabPool::kMinSlabBytes, chunk_bytes_);
+  const std::size_t want = std::min(
+      chunk_bytes_, std::max({base, leftover + Msg::kHeaderSize, need}));
+  if (chunk_ && pos_ == end_ && !chunk_sliced_ && chunk_size_ >= want) {
     // Fully drained and no payload slice was ever minted from this chunk:
     // nothing outside this thread has seen the bytes, so rewind and reuse.
-    // A sliced chunk is never rewound — even after every slice is
-    // released, a use_count()==1 observation would not synchronize with
-    // the consumer's reads (no acquire edge from the refcount decrement),
-    // so writing over the bytes would be a data race.
     pos_ = end_ = 0;
-  } else if (pos_ == end_ || end_ == chunk_->size()) {
-    // Sliced and drained, or tail full: outstanding slices may still
-    // reference the old chunk, so start a fresh one and carry any partial
-    // frame over; the old chunk lives on until its last slice is
-    // released. (Appending past end_ into a sliced chunk stays safe —
-    // slices only ever cover bytes below pos_.)
-    auto fresh = std::make_shared<std::vector<u8>>(chunk_bytes_);
-    std::memcpy(fresh->data(), chunk_->data() + pos_, leftover);
+  } else if (!chunk_ || pos_ == end_ || pos_ + need > chunk_size_) {
+    // Sliced and drained, drained but smaller than wanted, or no room
+    // for the frame being completed: outstanding slices may still
+    // reference the old chunk, so take a fresh slab and carry any
+    // partial frame over. The old slab rejoins
+    // the pool when its last slice is released; the pool's class mutex
+    // orders the consumers' reads before the next acquirer's writes, so
+    // no refcount observation is needed here. (Appending past end_ into
+    // a sliced chunk stays safe — slices only cover bytes below pos_.)
+    SlabPtr fresh = pool_.acquire(want);
+    if (leftover > 0) {
+      std::memcpy(fresh->data(), chunk_->data() + pos_, leftover);
+    }
     chunk_ = std::move(fresh);
+    chunk_size_ = std::min(chunk_->capacity(), chunk_bytes_);
     chunk_sliced_ = false;
     pos_ = 0;
     end_ = leftover;
   }
   const long n = conn_.read_some(chunk_->data() + end_,
-                                 std::min(chunk_->size() - end_, cap));
+                                 std::min(chunk_size_ - end_, cap));
   ++syscalls_;
   if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
     would_block_ = true;  // non-blocking socket drained, not dead
     return false;
   }
   if (n <= 0) return false;  // EOF or socket error
-  end_ += static_cast<std::size_t>(n);
+  last_recv_ = static_cast<std::size_t>(n);
+  end_ += last_recv_;
   return true;
 }
 
@@ -211,7 +221,8 @@ MsgPtr FrameReader::next() {
       // into the chunk, forcing read_large to memcpy it back out. If
       // the guess is wrong the next frame is small and costs one extra
       // bounded recv before normal bulk filling resumes.
-      if (!refill(expect_large_ ? Msg::kHeaderSize - available()
+      if (!refill(Msg::kHeaderSize,
+                  expect_large_ ? Msg::kHeaderSize - available()
                                 : static_cast<std::size_t>(-1))) {
         if (would_block_) return nullptr;  // retry when readable
         break;
@@ -230,7 +241,7 @@ MsgPtr FrameReader::next() {
     }
     expect_large_ = false;
     if (available() < total) {
-      if (!refill()) {
+      if (!refill(total)) {
         if (would_block_) return nullptr;  // retry when readable
         break;
       }

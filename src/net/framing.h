@@ -85,14 +85,25 @@ bool write_batch(TcpConn& conn, const MsgPtr* msgs, std::size_t n,
 /// FrameReader below.
 MsgPtr read_msg(TcpConn& conn);
 
-/// Bulk frame decoder: recv()s into a reusable chunk buffer, decodes as
-/// many complete frames per syscall as arrived, and hands payloads out as
+/// Bulk frame decoder: recv()s into a receive chunk, decodes as many
+/// complete frames per syscall as arrived, and hands payloads out as
 /// ref-counted Buffer slices of the chunk — zero per-message allocations
 /// on the hot path. A chunk stays alive until the last payload slice
-/// referencing it is released; the reader only appends to a chunk, never
-/// rewrites bytes a slice may see, so slices are safe to read from other
-/// threads once handed over (the engine's bounded queues provide the
-/// happens-before edge).
+/// referencing it is released; the reader only appends to a chunk it has
+/// sliced, never rewrites bytes a slice may see, so slices are safe to
+/// read from other threads once handed over (the engine's bounded queues
+/// provide the happens-before edge).
+///
+/// Chunks are recycled slabs from the SlabPool, sized to the load when a
+/// fresh one is needed: the smallest slab class (4 KB) after a recv that
+/// brought at most 2 KB, the full chunk (64 KB) otherwise, and never
+/// less than the frame the next recv must complete. A low-rate link
+/// therefore parks one 4 KB slab, and a saturated one reads 64 KB per
+/// syscall. A drained chunk that handed out slices is dropped, not
+/// rewound: its slab rejoins the pool when the last slice is released,
+/// and the pool's class mutex orders that release before the next
+/// acquirer's writes. A drained chunk that never handed out a slice is
+/// rewound in place.
 ///
 /// Frames larger than the chunk take the large-frame path: the payload
 /// is recv'd *directly* into a recycled slab from the SlabPool (zero
@@ -108,12 +119,13 @@ MsgPtr read_msg(TcpConn& conn);
 /// only the syscall/allocation pattern differs.
 class FrameReader {
  public:
-  /// Default recv chunk; bounds read-ahead (and thus how far the receiver
-  /// can run ahead of per-message pacing) to one socket buffer's worth.
+  /// Default (full) recv chunk; bounds read-ahead (and thus how far the
+  /// receiver can run ahead of per-message pacing) to one socket buffer's
+  /// worth. Frames larger than this take the large-frame path.
   static constexpr std::size_t kDefaultChunkBytes = 64 * 1024;
 
-  /// `pool` serves the large-frame payload slabs and must outlive the
-  /// reader (the slabs themselves may outlive both).
+  /// `pool` serves the receive chunks and the large-frame payload slabs
+  /// and must outlive the reader (the slabs themselves may outlive both).
   FrameReader(TcpConn& conn, SlabPool& pool,
               std::size_t chunk_bytes = kDefaultChunkBytes);
 
@@ -149,10 +161,15 @@ class FrameReader {
   u64 msgs() const { return msgs_; }
 
  private:
+  /// A recv that brought at most this many bytes makes the next fresh
+  /// chunk a small one (SlabPool::kMinSlabBytes).
+  static constexpr std::size_t kSmallRecvBytes = 2 * 1024;
+
   std::size_t available() const { return end_ - pos_; }
-  /// Reads more bytes into the chunk; recvs at most `cap` bytes (the
-  /// default is "fill the chunk").
-  bool refill(std::size_t cap = static_cast<std::size_t>(-1));
+  /// Makes room for `need` bytes from pos_ and reads more bytes into the
+  /// chunk; recvs at most `cap` bytes (the default is "fill the chunk").
+  bool refill(std::size_t need,
+              std::size_t cap = static_cast<std::size_t>(-1));
   MsgPtr read_large(const codec::Header& header);
   /// Continues a partially received large frame (see LargePending).
   MsgPtr resume_large();
@@ -160,9 +177,11 @@ class FrameReader {
   TcpConn& conn_;
   SlabPool& pool_;
   const std::size_t chunk_bytes_;
-  std::shared_ptr<std::vector<u8>> chunk_;
+  SlabPtr chunk_;
+  std::size_t chunk_size_ = 0;  ///< usable bytes of *chunk_
   std::size_t pos_ = 0;  ///< first undecoded byte in *chunk_
   std::size_t end_ = 0;  ///< one past the last received byte
+  std::size_t last_recv_ = 0;  ///< bytes the last recv brought
   /// Whether a payload slice of the current chunk was ever handed out.
   /// Once true the chunk is append-only for the rest of its life: refill
   /// never rewinds it, it is replaced instead (see refill()).

@@ -1,5 +1,7 @@
 #include "net/reactor/reactor.h"
 
+#include <pthread.h>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
@@ -25,13 +27,26 @@ constexpr Duration kIdleTimeout = millis(500);
 // pass-then-pump cycles, then the sockets get their turn.
 constexpr int kMaxDeferRounds = 4;
 
+// The CPUs this process may run on, ascending (empty if unknown). Asked
+// of the main thread (pid), not the caller, which may itself be pinned.
+std::vector<int> allowed_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(getpid(), sizeof(set), &set) != 0) return {};
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
 }  // namespace
 
 Worker::Worker() = default;
 
 Worker::~Worker() { stop_and_join(); }
 
-void Worker::start() {
+void Worker::start(int cpu) {
   if (started_.exchange(true)) return;
   epoll_fd_ = Fd(epoll_create1(EPOLL_CLOEXEC));
   wake_fd_ = Fd(eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK));
@@ -44,6 +59,17 @@ void Worker::start() {
   ev.data.fd = wake_fd_.get();
   epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, wake_fd_.get(), &ev);
   thread_ = std::thread([this] { loop(); });
+  if (cpu >= 0) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    const int err =
+        pthread_setaffinity_np(thread_.native_handle(), sizeof(set), &set);
+    if (err != 0) {
+      IOV_LOG_WARN("reactor") << "pinning to cpu " << cpu
+                              << " failed: " << std::strerror(err);
+    }
+  }
 }
 
 void Worker::stop_and_join() {
@@ -238,10 +264,12 @@ void Worker::loop() {
 
 Reactor::Reactor(int threads) {
   const int n = std::max(threads, 1);
+  const std::vector<int> cpus = allowed_cpus();
+  const bool pin = static_cast<std::size_t>(n) <= cpus.size();
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     workers_.push_back(std::make_unique<Worker>());
-    workers_.back()->start();
+    workers_.back()->start(pin ? cpus[static_cast<std::size_t>(i)] : -1);
   }
 }
 

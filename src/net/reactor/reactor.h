@@ -69,7 +69,8 @@ class Worker {
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
 
-  void start();
+  /// Starts the loop thread; `cpu` >= 0 pins it to that CPU.
+  void start(int cpu = -1);
   /// Asks the loop to exit and joins the thread. Idempotent.
   void stop_and_join();
 
@@ -155,7 +156,10 @@ class Worker {
 /// engine (Reactor::shared()); tests may instantiate their own.
 class Reactor {
  public:
-  /// Starts `threads` workers (clamped to ≥ 1).
+  /// Starts `threads` workers (clamped to ≥ 1). When they fit on the
+  /// process's allowed CPUs (sched_getaffinity), worker k is pinned to
+  /// the k-th allowed CPU, so the scheduler cannot pack a lightly loaded
+  /// pool onto one core; otherwise they run unpinned.
   explicit Reactor(int threads);
   ~Reactor();
 

@@ -21,6 +21,15 @@ TEST(Buffer, PatternIsDeterministicAndSeedSensitive) {
   EXPECT_EQ(a->size(), 64u);
 }
 
+TEST(Buffer, MatchesPatternChecksInPlace) {
+  const auto a = Buffer::pattern(1000, 7);
+  EXPECT_TRUE(Buffer::matches_pattern(a->data(), a->size(), 7));
+  EXPECT_FALSE(Buffer::matches_pattern(a->data(), a->size(), 8));
+  auto flipped = a->bytes();
+  flipped[999] ^= 1;
+  EXPECT_FALSE(Buffer::matches_pattern(flipped.data(), flipped.size(), 7));
+}
+
 TEST(Buffer, FromStringRoundTrip) {
   const auto buf = Buffer::from_string("hello overlay");
   EXPECT_EQ(buf->view(), "hello overlay");

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -193,7 +198,9 @@ TEST(FrameReader, FrameExactlyAtChunkSizeStaysOnSlicePath) {
   MsgPtr got = reader.next();
   expect_same_payload(got, at[0]);
   EXPECT_TRUE(got->payload()->is_slice());
-  EXPECT_EQ(pool.hits() + pool.misses(), 0u);  // pool never consulted
+  // One acquire: the receive chunk the frame was sliced from. The
+  // large-frame path would have taken a second slab for the payload.
+  EXPECT_EQ(pool.hits() + pool.misses(), 1u);
   expect_same_payload(reader.next(), after[0]);
   writer.join();
 }
@@ -208,7 +215,12 @@ TEST(FrameReader, FrameOneByteOverChunkTakesThePooledLargePath) {
   MsgPtr got = reader.next();
   expect_same_payload(got, over[0]);
   EXPECT_TRUE(got->payload()->is_slice());  // slab-backed view
-  EXPECT_EQ(pool.misses(), 1u);
+  // Two slabs: the receive chunk and the payload's own slab.
+  EXPECT_EQ(pool.misses(), 2u);
+  // The payload owns its slab rather than a slice of the chunk the
+  // reader still holds: releasing it parks exactly one slab.
+  got.reset();
+  EXPECT_EQ(pool.free_bytes(), SlabPool::kMinSlabBytes);
   writer.join();
 }
 
@@ -243,9 +255,9 @@ TEST(FrameReader, LargeFramesInterleavedWithSlicedSmallFrames) {
     auto batch = make_msgs(1, i % 2 == 0 ? 100 : 1000);
     msgs.push_back(batch[0]);
   }
-  std::thread writer([&] {
-    for (const auto& m : msgs) EXPECT_TRUE(write_msg(pair.client, *m));
-  });
+  // The whole ~5.7 KB stream is queued before the first read, so every
+  // recv returns what it asks for and the acquire count is exact.
+  for (const auto& m : msgs) ASSERT_TRUE(write_msg(pair.client, *m));
   SlabPool pool;
   FrameReader reader(pair.server, pool, 256);
   std::vector<MsgPtr> got;  // hold all payloads live across the stream
@@ -257,13 +269,16 @@ TEST(FrameReader, LargeFramesInterleavedWithSlicedSmallFrames) {
     expect_same_payload(got[i], msgs[i]);
     EXPECT_TRUE(got[i]->payload()->is_slice());
   }
-  // All five large frames were pool-served; with every payload held live,
-  // no slab could recycle, so each acquire was a miss.
-  EXPECT_EQ(pool.hits() + pool.misses(), 5u);
-  // Releasing the payloads returns every slab to the freelist.
+  // Each small frame was sliced from its own chunk (the large frame
+  // after it drains the chunk), and all five large frames were
+  // pool-served: ten slabs. With every payload held live, no slab could
+  // recycle, so each acquire was a miss.
+  EXPECT_EQ(pool.hits(), 0u);
+  EXPECT_EQ(pool.misses(), 10u);
+  // Releasing the payloads returns every slab to the freelist except the
+  // chunk the reader still holds.
   got.clear();
-  EXPECT_EQ(pool.free_bytes(), 5u * SlabPool::kMinSlabBytes);
-  writer.join();
+  EXPECT_EQ(pool.free_bytes(), 9u * SlabPool::kMinSlabBytes);
 }
 
 TEST(FrameReader, SteadyLargeStreamRecyclesOneSlab) {
@@ -279,9 +294,128 @@ TEST(FrameReader, SteadyLargeStreamRecyclesOneSlab) {
     // a switch that forwards and drops its reference.
     expect_same_payload(reader.next(), want);
   }
-  EXPECT_EQ(pool.misses(), 1u);  // one allocation for the whole stream
+  // Two allocations for the whole stream: the receive chunk, which only
+  // ever holds headers and so is rewound in place, and one payload slab
+  // that each frame recycles.
+  EXPECT_EQ(pool.misses(), 2u);
   EXPECT_EQ(pool.hits(), 19u);
   writer.join();
+}
+
+// --- Receive chunks: pool slabs sized to the load -------------------------
+
+TEST(FrameReader, OneFramePerRecvRecyclesSmallChunks) {
+  auto pair = make_pair();
+  const auto msgs = make_msgs(1000, 1000);
+  SlabPool pool;
+  {
+    FrameReader reader(pair.server, pool);
+    for (const auto& want : msgs) {
+      // One frame in the socket per read, each payload released before
+      // the next: a low-rate link.
+      ASSERT_TRUE(write_msg(pair.client, *want));
+      expect_same_payload(reader.next(), want);
+    }
+    EXPECT_EQ(reader.syscalls(), msgs.size());
+  }
+  // The reader alternates between two chunks, and every chunk it ever
+  // took was a small slab.
+  EXPECT_LE(pool.misses(), 2u);
+  EXPECT_EQ(pool.hits() + pool.misses(), msgs.size());
+  EXPECT_EQ(pool.free_bytes(), pool.misses() * SlabPool::kMinSlabBytes);
+}
+
+TEST(FrameReader, BackToBackSmallStreamGrowsToFullChunks) {
+  auto pair = make_pair();
+  const auto msgs = make_msgs(1000, 1000);  // ~1 MB
+  std::atomic<bool> written{false};
+  std::thread writer([&] {
+    EXPECT_TRUE(write_batch(pair.client, msgs.data(), msgs.size()));
+    written = true;
+  });
+  // Let the stream queue up in the socket buffers first, as on a
+  // saturated link (a bounded wait: reading also unblocks the writer).
+  for (int i = 0; i < 200 && !written; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
+  for (const auto& want : msgs) expect_same_payload(reader.next(), want);
+  // The first chunk is small; a recv that fills it makes every later
+  // chunk a full one, so a recv decodes ~60 frames.
+  EXPECT_LE(reader.syscalls(), msgs.size() / 32 + 4);
+  writer.join();
+}
+
+TEST(FrameReader, PayloadsReleasedOnAnotherThreadRecycleChunks) {
+  auto pair = make_pair();
+  const auto msgs = make_msgs(2000, 1000);
+  std::thread writer([&] {
+    // Small bursts, so chunks turn over often.
+    for (std::size_t i = 0; i < msgs.size(); i += 3) {
+      const std::size_t n = std::min<std::size_t>(3, msgs.size() - i);
+      EXPECT_TRUE(write_batch(pair.client, &msgs[i], n));
+    }
+  });
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<MsgPtr> handed;
+  bool done = false;
+  std::size_t intact = 0;
+  std::thread consumer([&] {
+    std::deque<MsgPtr> held;  // a few payloads in flight at once
+    for (;;) {
+      MsgPtr m;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return done || !handed.empty(); });
+        if (handed.empty()) break;
+        m = std::move(handed.front());
+        handed.pop_front();
+        cv.notify_all();  // queue space for the reader
+      }
+      held.push_back(std::move(m));
+      if (held.size() > 8) {
+        const MsgPtr& old = held.front();
+        if (Buffer::matches_pattern(old->payload()->data(),
+                                    old->payload_size(), old->seq())) {
+          ++intact;
+        }
+        held.pop_front();  // the last reference: the slab may recycle
+      }
+    }
+    for (const auto& old : held) {
+      if (Buffer::matches_pattern(old->payload()->data(),
+                                  old->payload_size(), old->seq())) {
+        ++intact;
+      }
+    }
+  });
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    MsgPtr m = reader.next();
+    if (m == nullptr || m->seq() != i) {
+      ADD_FAILURE() << "frame " << i << " missing or out of order";
+      break;  // still join the threads below
+    }
+    // A bounded hand-off, like the engine's queues: the reader cannot run
+    // more than a few payloads ahead of the releases.
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return handed.size() < 16; });
+    handed.push_back(std::move(m));
+    cv.notify_all();
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+    cv.notify_all();
+  }
+  consumer.join();
+  writer.join();
+  EXPECT_EQ(intact, msgs.size());
+  // Chunks released on the consumer thread came back to the reader.
+  EXPECT_GT(pool.hits(), 0u);
 }
 
 TEST(FrameReader, PooledPayloadOutlivesReaderAndPool) {

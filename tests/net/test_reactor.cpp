@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <sched.h>
+#include <unistd.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <fstream>
 #include <string>
@@ -201,6 +204,50 @@ TEST(ReactorPool, PickRoundRobinsAcrossWorkers) {
   Worker& c = pool.pick();
   EXPECT_NE(&a, &b);
   EXPECT_EQ(&a, &c);
+}
+
+std::vector<int> cpus_of(const cpu_set_t& set) {
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+std::vector<int> process_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  EXPECT_EQ(sched_getaffinity(getpid(), sizeof(set), &set), 0);
+  return cpus_of(set);
+}
+
+/// The CPUs worker `w`'s thread may run on.
+std::vector<int> worker_cpus(Worker& w) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  w.call([&] { EXPECT_EQ(sched_getaffinity(0, sizeof(set), &set), 0); });
+  return cpus_of(set);
+}
+
+TEST(ReactorPool, PinsWorkerKToTheKthAllowedCpu) {
+  const auto allowed = process_cpus();
+  const int n = static_cast<int>(std::min<std::size_t>(allowed.size(), 4));
+  Reactor pool(n);
+  for (int k = 0; k < n; ++k) {
+    EXPECT_EQ(worker_cpus(pool.pick()),
+              std::vector<int>{allowed[static_cast<std::size_t>(k)]})
+        << "worker " << k;
+  }
+}
+
+TEST(ReactorPool, MoreWorkersThanCpusRunUnpinned) {
+  const auto allowed = process_cpus();
+  if (allowed.size() > 16) GTEST_SKIP() << "too many CPUs for this test";
+  const int n = static_cast<int>(allowed.size()) + 1;
+  Reactor pool(n);
+  for (int k = 0; k < n; ++k) {
+    EXPECT_EQ(worker_cpus(pool.pick()), allowed) << "worker " << k;
+  }
 }
 
 // ---------------------------------------------------------------------------
