@@ -916,11 +916,13 @@ bool Engine::pump_link_slot(const NodeId& peer) {
   // A reader parked on this (previously full) buffer resumes after the
   // pass.
   if (popped > 0) link->notify_recv_space();
+  // Chained stamps: one clock read per batch, then one per message after
+  // its outbox flush; message k's end stamp is message k+1's start.
+  TimePoint t0 = popped > 0 ? clock_->now() : 0;
   for (std::size_t w = 0; w < popped; ++w) {
     Inbound& in = switch_batch_[w];
-    // Switch latency (paper Fig. 5): link enqueue to switch dequeue,
-    // covering the time the message sat in the receive buffer.
-    const TimePoint t0 = clock_->now();
+    // Switch latency (paper Fig. 5): link enqueue to the switch taking
+    // the message up, covering the time it sat in the receive buffer.
     switch_latency_.observe(to_seconds(t0 - in.enqueued_at));
     // Data-plane only: a peer is an "upstream" for an app when it feeds
     // us that app's data, not when it merely relays control for it.
@@ -928,12 +930,14 @@ bool Engine::pump_link_slot(const NodeId& peer) {
     current_outbox_ = &outbox;
     deliver_to_algorithm(in.msg);
     current_outbox_ = nullptr;
-    switch_process_.observe(to_seconds(clock_->now() - t0));
     switch_msgs_.inc();
     ++pass_msgs_;
     pass_bytes_ += in.msg->wire_size();
     progress = true;
     flush_outbox(outbox);
+    const TimePoint t1 = clock_->now();
+    switch_process_.observe(to_seconds(t1 - t0));
+    t0 = t1;
   }
   switch_batch_.clear();
   link->update_queue_gauges();

@@ -245,7 +245,8 @@ void PeerLink::pump_send() {
   if (detached_ || state_ != State::kEstablished) return;
   if (!flush_wire()) return;  // backlogged (EPOLLOUT armed) or dead
   if (send_paced_) return;    // the pacing timer owns progress
-  const bool emulated = kind_ == ConnKind::kPersistent;
+  const bool emulated =
+      kind_ == ConnKind::kPersistent && bandwidth_.limited();
   bool popped_any = false;
   while (!detached_) {
     if (popped_idx_ >= popped_.size()) {
@@ -412,6 +413,9 @@ void PeerLink::pump_recv() {
   // it feeds) runs before this reader continues, so a node forwards while
   // its upstream is still streaming.
   std::size_t budget = kRecvBudgetBytes;
+  // One clock read per call, taken when the first message is routed: it
+  // stamps every message this call routes (meters, switch latency).
+  TimePoint now = -1;
   while (!detached_) {
     MsgPtr m;
     if (predecessor_) {
@@ -468,9 +472,9 @@ void PeerLink::pump_recv() {
     // the kernel receive window fills and TCP pushes back on the sender —
     // exactly the "back pressure" of §2.4. A non-zero wait is a pacing
     // boundary: everything decoded so far becomes visible before the
-    // emulated delay.
+    // emulated delay. With no limit set the emulator is skipped.
     const Duration wait =
-        kind_ == ConnKind::kPersistent
+        kind_ == ConnKind::kPersistent && bandwidth_.limited()
             ? bandwidth_.acquire_recv(peer_, m->wire_size(), clock_.now())
             : 0;
     if (wait > 0) {
@@ -484,7 +488,8 @@ void PeerLink::pump_recv() {
       return;
     }
     const std::size_t size = m->wire_size();
-    account_and_route(std::move(m));
+    if (now < 0) now = clock_.now();
+    account_and_route(std::move(m), now);
     if (detached_ || reading_blocked()) return;
     if (size >= budget) {
       flush_inbound();
@@ -504,7 +509,7 @@ void PeerLink::pump_recv() {
 void PeerLink::on_recv_pace_done() {
   if (detached_ || !paced_) return;
   MsgPtr m = std::move(paced_);
-  account_and_route(std::move(m));
+  account_and_route(std::move(m), clock_.now());
   if (detached_ || reading_blocked()) return;
   update_interest();
   pump_recv();
@@ -519,8 +524,7 @@ void PeerLink::resume_recv() {
   pump_recv();
 }
 
-void PeerLink::account_and_route(MsgPtr m) {
-  const TimePoint now = clock_.now();
+void PeerLink::account_and_route(MsgPtr m, TimePoint now) {
   up_meter_.record(m->wire_size(), now);
   up_bytes_.inc(m->wire_size());
   up_msgs_.inc();

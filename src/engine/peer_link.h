@@ -21,6 +21,11 @@
 //                 pacing, splitting the flush at every throttle boundary]
 //                 --scatter-gather sendmsg--> socket
 //
+// The bracketed pacing steps run only while the node's BandwidthEmulator
+// has a limit set; otherwise a message costs no emulator call and no
+// clock read. The receive pump reads the clock once per call, for the
+// meters and the receive-buffer stamps of every message it routes.
+//
 // Pacing sleeps become reactor timers, and the flush-before-sleep rule
 // keeps emulated departure/arrival times exact. Back-pressure is
 // event-loop parking:
@@ -205,8 +210,10 @@ class PeerLink final : public reactor::EventHandler {
   bool flush_inbound();
 
   /// Post-pacing half of message delivery: meters, then route to the
-  /// recv buffer (kData) or the owner (control).
-  void account_and_route(MsgPtr m);
+  /// recv buffer (kData) or the owner (control). `now` is the caller's
+  /// one clock read for its whole batch, never one cached across calls
+  /// (the up meter's idle time drives failure detection).
+  void account_and_route(MsgPtr m, TimePoint now);
 
   /// True while the reader must not consume more input.
   bool reading_blocked() const { return paced_ || held_ctrl_ || recv_full_; }

@@ -10,35 +10,33 @@ void BandwidthEmulator::configure(const BandwidthSpec& spec) {
   down_.set_rate(spec.node_down);
 }
 
-TokenBucket* BandwidthEmulator::link_bucket(const NodeId& peer, bool up) {
-  std::lock_guard<std::mutex> lock(links_mu_);
-  auto& map = up ? link_up_ : link_down_;
-  auto it = map.find(peer);
-  if (it == map.end()) return nullptr;
-  return it->second.get();
+void BandwidthEmulator::set_link(std::unordered_map<NodeId, TokenBucket>& links,
+                                 const NodeId& peer, double bytes_per_sec) {
+  // Erasing an unlimited bucket loses nothing: one that becomes limited
+  // again starts with a full burst either way.
+  if (!(bytes_per_sec > 0.0)) {
+    links.erase(peer);
+  } else {
+    links[peer].set_rate(bytes_per_sec);
+  }
 }
 
 void BandwidthEmulator::set_link_up(const NodeId& peer, double bytes_per_sec) {
-  std::lock_guard<std::mutex> lock(links_mu_);
-  auto& bucket = link_up_[peer];
-  if (!bucket) bucket = std::make_unique<TokenBucket>();
-  bucket->set_rate(bytes_per_sec);
+  set_link(link_up_, peer, bytes_per_sec);
 }
 
 void BandwidthEmulator::set_link_down(const NodeId& peer,
                                       double bytes_per_sec) {
-  std::lock_guard<std::mutex> lock(links_mu_);
-  auto& bucket = link_down_[peer];
-  if (!bucket) bucket = std::make_unique<TokenBucket>();
-  bucket->set_rate(bytes_per_sec);
+  set_link(link_down_, peer, bytes_per_sec);
 }
 
 Duration BandwidthEmulator::acquire_send(const NodeId& peer,
                                          std::size_t bytes, TimePoint now) {
   Duration wait = total_.acquire(bytes, now);
   wait = std::max(wait, up_.acquire(bytes, now));
-  if (TokenBucket* link = link_bucket(peer, /*up=*/true)) {
-    wait = std::max(wait, link->acquire(bytes, now));
+  const auto link = link_up_.find(peer);
+  if (link != link_up_.end()) {
+    wait = std::max(wait, link->second.acquire(bytes, now));
   }
   return wait;
 }
@@ -47,8 +45,9 @@ Duration BandwidthEmulator::acquire_recv(const NodeId& peer,
                                          std::size_t bytes, TimePoint now) {
   Duration wait = total_.acquire(bytes, now);
   wait = std::max(wait, down_.acquire(bytes, now));
-  if (TokenBucket* link = link_bucket(peer, /*up=*/false)) {
-    wait = std::max(wait, link->acquire(bytes, now));
+  const auto link = link_down_.find(peer);
+  if (link != link_down_.end()) {
+    wait = std::max(wait, link->second.acquire(bytes, now));
   }
   return wait;
 }

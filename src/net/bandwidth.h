@@ -6,17 +6,22 @@
 //       e.g. DSL/cable-modem style last miles.
 //
 // A link's send path calls acquire_send() and its receive path calls
-// acquire_recv() for every message; the returned Duration is waited out
-// before the bytes touch the socket (or the message becomes visible). All scopes compose: a send must clear the
+// acquire_recv() for every message while limited() holds; the returned
+// Duration is waited out before the bytes touch the socket (or the
+// message becomes visible). All scopes compose: a send must clear the
 // per-link bucket, the node's uplink bucket, and the node's total bucket,
-// and waits for the most constrained one.
+// and waits for the most constrained one. With no limit set at any scope
+// every acquire would return 0 and change nothing, so links skip the
+// emulator (and the clock read it needs) altogether.
 //
-// All limits are adjustable at runtime from any thread (the observer
-// changes them mid-experiment to move bottlenecks around, as in Fig 6/7).
+// All limits are adjustable at runtime — the observer changes them
+// mid-experiment to move bottlenecks around, as in Fig 6/7 — but only
+// from the owning node's thread: the emulator takes no lock. On a real
+// engine the observer's kSetBandwidth arrives as a control message that
+// the engine applies on its reactor worker, where its links also run;
+// the simulator is single-threaded.
 #pragma once
 
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 
 #include "common/node_id.h"
@@ -53,6 +58,13 @@ class BandwidthEmulator {
   double node_up() const { return up_.rate(); }
   double node_down() const { return down_.rate(); }
 
+  /// True while a limit is set at any scope. When false, acquire_send and
+  /// acquire_recv return 0 without side effects, so callers may skip them.
+  bool limited() const {
+    return total_.limited() || up_.limited() || down_.limited() ||
+           !link_up_.empty() || !link_down_.empty();
+  }
+
   /// Wait required before `bytes` may be sent to `peer` at time `now`.
   Duration acquire_send(const NodeId& peer, std::size_t bytes, TimePoint now);
 
@@ -60,17 +72,16 @@ class BandwidthEmulator {
   Duration acquire_recv(const NodeId& peer, std::size_t bytes, TimePoint now);
 
  private:
-  TokenBucket* link_bucket(const NodeId& peer, bool up);
+  /// Sets (or, for a rate <= 0, removes) the link bucket for `peer`.
+  static void set_link(std::unordered_map<NodeId, TokenBucket>& links,
+                       const NodeId& peer, double bytes_per_sec);
 
   TokenBucket total_;
   TokenBucket up_;
   TokenBucket down_;
-
-  std::mutex links_mu_;
-  // Buckets are held by unique_ptr so references handed to links stay
-  // valid while the map rehashes.
-  std::unordered_map<NodeId, std::unique_ptr<TokenBucket>> link_up_;
-  std::unordered_map<NodeId, std::unique_ptr<TokenBucket>> link_down_;
+  // Only limited links have a bucket: removing a limit erases it.
+  std::unordered_map<NodeId, TokenBucket> link_up_;
+  std::unordered_map<NodeId, TokenBucket> link_down_;
 };
 
 }  // namespace iov

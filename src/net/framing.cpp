@@ -115,19 +115,24 @@ bool FrameReader::refill(std::size_t need, std::size_t cap) {
           : std::min(SlabPool::kMinSlabBytes, chunk_bytes_);
   const std::size_t want = std::min(
       chunk_bytes_, std::max({base, leftover + Msg::kHeaderSize, need}));
-  if (chunk_ && pos_ == end_ && !chunk_sliced_ && chunk_size_ >= want) {
+  const bool drained = pos_ == end_;
+  if (chunk_ && drained && !chunk_sliced_ && chunk_size_ >= want) {
     // Fully drained and no payload slice was ever minted from this chunk:
     // nothing outside this thread has seen the bytes, so rewind and reuse.
     pos_ = end_ = 0;
-  } else if (!chunk_ || pos_ == end_ || pos_ + need > chunk_size_) {
-    // Sliced and drained, drained but smaller than wanted, or no room
-    // for the frame being completed: outstanding slices may still
-    // reference the old chunk, so take a fresh slab and carry any
-    // partial frame over. The old slab rejoins
-    // the pool when its last slice is released; the pool's class mutex
-    // orders the consumers' reads before the next acquirer's writes, so
-    // no refcount observation is needed here. (Appending past end_ into
-    // a sliced chunk stays safe — slices only cover bytes below pos_.)
+  } else if (!chunk_ || pos_ + need > chunk_size_ ||
+             (drained && (!chunk_sliced_ ||
+                          chunk_size_ - end_ < std::max(need, last_recv_)))) {
+    // No room for the frame being completed, a drained chunk smaller than
+    // wanted, or a sliced and drained one without room for another recv
+    // like the last: outstanding slices may still reference the old
+    // chunk, so take a fresh slab and carry any partial frame over. The
+    // old slab rejoins the pool when its last slice is released; the
+    // pool's class mutex orders the consumers' reads before the next
+    // acquirer's writes, so no refcount observation is needed here.
+    // A sliced chunk that still has room is appended to instead (safe:
+    // slices only cover bytes below pos_), so a low-rate link takes a
+    // slab every few messages rather than one per message.
     SlabPtr fresh = pool_.acquire(want);
     if (leftover > 0) {
       std::memcpy(fresh->data(), chunk_->data() + pos_, leftover);
@@ -247,7 +252,7 @@ MsgPtr FrameReader::next() {
       }
       continue;
     }
-    BufferPtr payload = Buffer::empty_buffer();
+    BufferPtr payload;  // Msg substitutes the shared empty buffer for null
     if (header->payload_size > 0) {
       payload = Buffer::slice(chunk_, chunk_->data() + pos_ + Msg::kHeaderSize,
                               header->payload_size);

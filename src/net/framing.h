@@ -99,11 +99,13 @@ MsgPtr read_msg(TcpConn& conn);
 /// brought at most 2 KB, the full chunk (64 KB) otherwise, and never
 /// less than the frame the next recv must complete. A low-rate link
 /// therefore parks one 4 KB slab, and a saturated one reads 64 KB per
-/// syscall. A drained chunk that handed out slices is dropped, not
-/// rewound: its slab rejoins the pool when the last slice is released,
-/// and the pool's class mutex orders that release before the next
-/// acquirer's writes. A drained chunk that never handed out a slice is
-/// rewound in place.
+/// syscall. A drained chunk that handed out slices is never rewound:
+/// the reader appends to it while it has room for another recv as large
+/// as the last one (so a low-rate link takes a slab every few messages,
+/// not one per message), then drops it. Its slab rejoins the pool when
+/// the last slice is released, and the pool's class mutex orders that
+/// release before the next acquirer's writes. A drained chunk that never
+/// handed out a slice is rewound in place.
 ///
 /// Frames larger than the chunk take the large-frame path: the payload
 /// is recv'd *directly* into a recycled slab from the SlabPool (zero

@@ -16,7 +16,6 @@ TokenBucket::TokenBucket(double rate_bytes_per_sec, double burst_bytes) {
 }
 
 void TokenBucket::set_rate(double rate_bytes_per_sec, double burst_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
   const bool was_unlimited = rate_ == 0.0;
   rate_ = rate_bytes_per_sec > 0.0 ? rate_bytes_per_sec : 0.0;
   burst_ = burst_bytes > 0.0 ? burst_bytes : default_burst(rate_);
@@ -31,33 +30,23 @@ void TokenBucket::set_rate(double rate_bytes_per_sec, double burst_bytes) {
   if (rate_ == 0.0) tokens_ = 0.0;
 }
 
-double TokenBucket::rate() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rate_;
-}
-
-void TokenBucket::refill_locked(TimePoint now) const {
-  if (now <= last_) return;
-  const double elapsed = to_seconds(now - last_);
-  tokens_ = std::min(burst_, tokens_ + elapsed * rate_);
-  last_ = now;
+double TokenBucket::balance_at(TimePoint now) const {
+  if (now <= last_) return tokens_;
+  return std::min(burst_, tokens_ + to_seconds(now - last_) * rate_);
 }
 
 Duration TokenBucket::acquire(std::size_t bytes, TimePoint now) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (rate_ == 0.0) return 0;
-  refill_locked(now);
-  tokens_ -= static_cast<double>(bytes);
+  tokens_ = balance_at(now) - static_cast<double>(bytes);
+  last_ = std::max(last_, now);
   if (tokens_ >= 0.0) return 0;
   return static_cast<Duration>(-tokens_ / rate_ *
                                static_cast<double>(kNanosPerSec));
 }
 
 Duration TokenBucket::would_wait(std::size_t bytes, TimePoint now) const {
-  std::lock_guard<std::mutex> lock(mu_);
   if (rate_ == 0.0) return 0;
-  refill_locked(now);
-  const double balance = tokens_ - static_cast<double>(bytes);
+  const double balance = balance_at(now) - static_cast<double>(bytes);
   if (balance >= 0.0) return 0;
   return static_cast<Duration>(-balance / rate_ *
                                static_cast<double>(kNanosPerSec));

@@ -7,9 +7,12 @@
 // Callers consume tokens for each message and are told how long to sleep
 // before the bytes may pass. Rates are runtime-adjustable: the observer
 // can "produce or relieve artificial bottlenecks on the fly".
+//
+// Threading: owner-thread-only, no lock. A bucket lives in one node's
+// BandwidthEmulator and is only touched from that node's thread (its
+// reactor worker, or the simulator's single thread); the observer's
+// kSetBandwidth reaches it as a control message applied on that worker.
 #pragma once
-
-#include <mutex>
 
 #include "common/types.h"
 
@@ -22,13 +25,13 @@ class TokenBucket {
   explicit TokenBucket(double rate_bytes_per_sec = 0.0, double burst_bytes = 0.0);
 
   /// Changes the rate; tokens already accrued are retained (clamped to the
-  /// new burst). Thread safe.
+  /// new burst).
   void set_rate(double rate_bytes_per_sec, double burst_bytes = 0.0);
 
   /// Current rate limit in bytes/s; 0 when unlimited.
-  double rate() const;
+  double rate() const { return rate_; }
 
-  bool limited() const { return rate() > 0.0; }
+  bool limited() const { return rate_ > 0.0; }
 
   /// Consumes `bytes` tokens at time `now` and returns how long the caller
   /// must wait before the bytes are allowed on the wire (0 when tokens were
@@ -41,13 +44,14 @@ class TokenBucket {
   Duration would_wait(std::size_t bytes, TimePoint now) const;
 
  private:
-  void refill_locked(TimePoint now) const;
+  /// The balance at `now`: tokens_ plus what accrued since last_, capped
+  /// at the burst.
+  double balance_at(TimePoint now) const;
 
-  mutable std::mutex mu_;
-  double rate_ = 0.0;       // bytes per second; 0 = unlimited
-  double burst_ = 0.0;      // max accumulated tokens, bytes
-  mutable double tokens_ = 0.0;  // may be negative (debt)
-  mutable TimePoint last_ = 0;
+  double rate_ = 0.0;    // bytes per second; 0 = unlimited
+  double burst_ = 0.0;   // max accumulated tokens, bytes
+  double tokens_ = 0.0;  // may be negative (debt)
+  TimePoint last_ = 0;
 };
 
 }  // namespace iov

@@ -8,6 +8,7 @@
 #include "apps/sink.h"
 #include "apps/source.h"
 #include "engine_test_util.h"
+#include "obs/metric_names.h"
 
 namespace iov::engine {
 namespace {
@@ -92,6 +93,44 @@ TEST(EngineBasic, FourNodeChainDeliversEndToEnd) {
     return sink->stats(RealClock::instance().now()).distinct == kMsgs;
   }));
   EXPECT_EQ(sink->stats(RealClock::instance().now()).corrupt, 0u);
+}
+
+// The switch reads the clock once per popped batch plus once per message
+// (chained stamps); each switched message must still be observed exactly
+// once in each of the two switch histograms.
+TEST(EngineBasic, SwitchHistogramsObserveOncePerSwitchedMessage) {
+  std::vector<Node> nodes;
+  for (int i = 0; i < 3; ++i) nodes.push_back(make_node());
+  auto sink = std::make_shared<SinkApp>(kPayload);
+  constexpr u64 kMsgs = 500;
+  nodes[0].engine->register_app(
+      kApp, std::make_shared<BackToBackSource>(kPayload, kMsgs));
+  nodes[2].engine->register_app(kApp, sink);
+  for (auto& n : nodes) ASSERT_TRUE(n.engine->start());
+  for (int i = 0; i < 2; ++i) {
+    nodes[i].relay->add_child(kApp, nodes[i + 1].engine->self());
+  }
+  nodes[2].relay->set_consume(kApp, true);
+  nodes[0].engine->deploy_source(kApp);
+  ASSERT_TRUE(wait_until([&] {
+    return sink->stats(RealClock::instance().now()).distinct == kMsgs;
+  }));
+
+  for (int i = 1; i < 3; ++i) {
+    obs::MetricsRegistry& metrics = nodes[i].engine->metrics();
+    const obs::Counter& switched =
+        metrics.counter(obs::names::kSwitchMessagesTotal);
+    const obs::Histogram& latency =
+        metrics.histogram(obs::names::kSwitchLatencySeconds);
+    const obs::Histogram& process =
+        metrics.histogram(obs::names::kSwitchProcessSeconds);
+    EXPECT_TRUE(wait_until([&] {
+      return switched.value() == kMsgs && latency.count() == kMsgs &&
+             process.count() == kMsgs;
+    })) << "node " << i << ": switched " << switched.value()
+        << ", latency " << latency.count() << ", process "
+        << process.count();
+  }
 }
 
 TEST(EngineBasic, FanOutCopiesToAllChildren) {

@@ -7,7 +7,9 @@
 //     to the same messages: data into recv_buffer(), control to the owner;
 //   * the send tail — a send buffer filled once and notified once must
 //     drain completely to a peer that reads slowly, with no further help
-//     from the engine.
+//     from the engine;
+//   * the per-message cost — with no bandwidth limit set, a receiving
+//     link reads the clock once per batch it hands over, not per message.
 // A link lives on its worker: the tests create, drive and destroy it
 // there through Worker::call.
 #include "engine/peer_link.h"
@@ -24,6 +26,7 @@
 #include "engine_test_util.h"
 #include "message/codec.h"
 #include "net/reactor/reactor.h"
+#include "obs/metric_names.h"
 
 namespace iov::engine {
 namespace {
@@ -61,6 +64,8 @@ struct Fixture {
   BandwidthEmulator bandwidth;
   RecordingSink sink;
   EngineConfig config;
+  const Clock* clock = &RealClock::instance();
+  LinkOwner* owner = &sink;
 
   /// Creates the link on the worker; pushes `queued` into its send
   /// buffer, then starts it and notifies it once.
@@ -70,8 +75,8 @@ struct Fixture {
     std::unique_ptr<PeerLink> out;
     worker.call([&] {
       out = std::make_unique<PeerLink>(self, peer, std::move(conn), config,
-                                       bandwidth, RealClock::instance(), sink,
-                                       metrics, slabs, worker, dial_pending);
+                                       bandwidth, *clock, *owner, metrics,
+                                       slabs, worker, dial_pending);
       for (const auto& m : queued) out->send_buffer().try_push(m);
       out->start();
       out->notify_send();
@@ -402,6 +407,150 @@ TEST(PeerLinkTail, SendBufferFilledOnceDrainsToASlowReader) {
   for (int cycle = 0; cycle < kTailCycles; ++cycle) {
     ASSERT_EQ(run_tail_cycle(fx), kTailMsgs) << "cycle " << cycle;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Clock reads on an unlimited link
+// ---------------------------------------------------------------------------
+
+/// The real clock, counting its reads.
+class CountingClock final : public Clock {
+ public:
+  TimePoint now() const override {
+    reads_.fetch_add(1, std::memory_order_relaxed);
+    return RealClock::instance().now();
+  }
+  u64 reads() const { return reads_.load(std::memory_order_relaxed); }
+
+ private:
+  mutable std::atomic<u64> reads_{0};
+};
+
+/// Plays the switch: like the engine, every on_link_ready schedules one
+/// pass after the current callback that drains the receive buffer, on
+/// the link's worker and without reading any clock.
+class DrainingOwner final : public LinkOwner {
+ public:
+  explicit DrainingOwner(reactor::Worker& worker) : worker_(worker) {}
+
+  void on_link_message(PeerLink&, MsgPtr) override {}
+  void on_link_failed(PeerLink&, MsgType) override { failed_ = true; }
+  void on_link_ready(PeerLink& link) override {
+    ++batches_;
+    if (pass_pending_) return;
+    pass_pending_ = true;
+    worker_.defer(this, [this, &link] {
+      pass_pending_ = false;
+      std::vector<Inbound> batch;
+      link.recv_buffer().try_pop_batch(batch, link.recv_buffer().size());
+      for (const auto& in : batch) {
+        const Msg& m = *in.msg;
+        intact_ += m.seq() == next_seq_ &&
+                   Buffer::matches_pattern(m.payload()->data(),
+                                           m.payload_size(), m.seq());
+        ++next_seq_;
+      }
+      link.notify_recv_space();
+    });
+  }
+
+  // Read on the worker (Worker::call) or after the link is gone.
+  u64 batches_ = 0;   ///< on_link_ready calls: batches handed over
+  u64 next_seq_ = 0;  ///< messages drained
+  u64 intact_ = 0;    ///< of those, in order with the right payload
+  bool failed_ = false;
+
+ private:
+  reactor::Worker& worker_;
+  bool pass_pending_ = false;
+};
+
+constexpr std::size_t kClockMsgs = 1000;
+const NodeId kSender = NodeId::loopback(1);
+
+/// A Fixture whose links read a CountingClock and report to a
+/// DrainingOwner.
+struct ClockRig {
+  Fixture fx;
+  CountingClock clock;
+  DrainingOwner owner{fx.worker};
+  ClockRig() {
+    fx.clock = &clock;
+    fx.owner = &owner;
+  }
+
+  /// Streams kClockMsgs back-to-back 1 KB frames from a raw socket into
+  /// an accepting link from kSender. False if the stream did not arrive.
+  bool stream() {
+    auto listener = TcpListener::listen(0);
+    if (!listener) return false;
+    auto raw = TcpConn::connect(NodeId::loopback(listener->port()),
+                                seconds(1.0));
+    if (!raw || !wait_readable(listener->fd(), seconds(1.0))) return false;
+    auto accepted = listener->accept();
+    if (!accepted || !accepted->set_nonblocking(true) ||
+        !raw->set_nonblocking(false)) {
+      return false;
+    }
+    std::vector<MsgPtr> msgs;
+    for (std::size_t i = 0; i < kClockMsgs; ++i) {
+      msgs.push_back(Msg::data(kSender, 1, static_cast<u32>(i),
+                               Buffer::pattern(1000, static_cast<u32>(i))));
+    }
+    auto link = fx.link(NodeId::loopback(2), kSender, std::move(*accepted),
+                        /*dial_pending=*/false);
+    const bool written = write_batch(*raw, msgs.data(), msgs.size());
+    const bool arrived = wait_until([&] {
+      u64 drained = 0;
+      fx.worker.call([&] { drained = owner.next_seq_; });
+      return drained == kClockMsgs;
+    });
+    fx.worker.call([&] {
+      fx.worker.cancel_deferred(&owner);  // a pending pass would see no link
+      link.reset();
+    });
+    return written && arrived;
+  }
+};
+
+TEST(PeerLinkClock, UnlimitedLinkReadsTheClockOncePerBatch) {
+  ClockRig rig;
+  ASSERT_TRUE(rig.stream());
+  EXPECT_EQ(rig.owner.intact_, kClockMsgs);  // delivery unchanged
+  EXPECT_FALSE(rig.owner.failed_);
+  // A receive pump that routes anything reads the clock once and hands
+  // the owner at least one batch, so reads never exceed batches. Pacing
+  // the messages would take a read each for the emulator, and per
+  // message stamps another.
+  EXPECT_GT(rig.owner.batches_, 0u);
+  EXPECT_LE(rig.clock.reads(), rig.owner.batches_);
+}
+
+TEST(PeerLinkClock, RemovedLimitsPutTheLinkBackOnTheFastPath) {
+  ClockRig rig;
+  BandwidthEmulator& bw = rig.fx.bandwidth;
+  bw.set_node_total(1e9);
+  bw.set_link_down(kSender, 1e9);
+  bw.set_link_down(kSender, 0.0);
+  bw.set_node_total(0.0);
+  ASSERT_FALSE(bw.limited());
+  ASSERT_TRUE(rig.stream());
+  EXPECT_EQ(rig.owner.intact_, kClockMsgs);
+  EXPECT_LE(rig.clock.reads(), rig.owner.batches_);
+}
+
+TEST(PeerLinkClock, LimitedLinkConsultsTheEmulatorPerMessage) {
+  ClockRig rig;
+  // A limit far above loopback speed: every message goes through the
+  // emulator (one clock read each) yet none waits.
+  rig.fx.bandwidth.set_link_down(kSender, 1e12);
+  ASSERT_TRUE(rig.stream());
+  EXPECT_EQ(rig.owner.intact_, kClockMsgs);
+  EXPECT_GE(rig.clock.reads(), kClockMsgs);
+  const auto& waits = rig.fx.metrics.histogram(
+      obs::names::kThrottleWaitSeconds,
+      {{"peer", kSender.to_string()}, {"dir", "up"}});
+  EXPECT_EQ(waits.count(), 0u);
 }
 
 }  // namespace

@@ -113,5 +113,60 @@ TEST(BandwidthEmulator, AsymmetricNode) {
   EXPECT_NEAR(drive_recv(bw, kPeerA, 5000, 100), 100e3, 8e3);
 }
 
+// limited() tells links whether the emulator can be skipped: false by
+// default, true while any scope has a positive limit, false again once
+// every limit is removed.
+TEST(BandwidthEmulator, LimitedFollowsEveryScope) {
+  BandwidthEmulator bw;
+  EXPECT_FALSE(bw.limited());
+
+  bw.set_node_total(1e6);
+  EXPECT_TRUE(bw.limited());
+  bw.set_node_total(0.0);
+  EXPECT_FALSE(bw.limited());
+
+  bw.set_node_up(1e6);
+  EXPECT_TRUE(bw.limited());
+  bw.set_node_up(0.0);
+  EXPECT_FALSE(bw.limited());
+  bw.set_node_down(1e6);
+  EXPECT_TRUE(bw.limited());
+  bw.set_node_down(0.0);
+  EXPECT_FALSE(bw.limited());
+
+  bw.set_link_up(kPeerA, 1e6);
+  EXPECT_TRUE(bw.limited());
+  bw.set_link_down(kPeerB, 1e6);
+  bw.set_link_up(kPeerA, 0.0);
+  EXPECT_TRUE(bw.limited());  // kPeerB's downlink is still limited
+  bw.set_link_down(kPeerB, 0.0);
+  EXPECT_FALSE(bw.limited());
+
+  BandwidthSpec spec;
+  spec.node_up = 1e6;
+  bw.configure(spec);
+  EXPECT_TRUE(bw.limited());
+  bw.configure(BandwidthSpec{});
+  EXPECT_FALSE(bw.limited());
+  EXPECT_TRUE(BandwidthEmulator(spec).limited());
+}
+
+// A limit that is removed and set again paces exactly like a fresh one:
+// the bucket starts from a full burst.
+TEST(BandwidthEmulator, ReinstatedLinkLimitStartsFull) {
+  BandwidthEmulator reset;
+  reset.set_link_up(kPeerA, 10e3);
+  EXPECT_GT(drive_send(reset, kPeerA, 5000, 20), 0.0);
+  reset.set_link_up(kPeerA, 0.0);
+  reset.set_link_up(kPeerA, 10e3);
+  BandwidthEmulator fresh;
+  fresh.set_link_up(kPeerA, 10e3);
+  const TimePoint later = seconds(100.0);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(reset.acquire_send(kPeerA, 5000, later),
+              fresh.acquire_send(kPeerA, 5000, later));
+  }
+}
+
 }  // namespace
 }  // namespace iov

@@ -318,10 +318,11 @@ TEST(FrameReader, OneFramePerRecvRecyclesSmallChunks) {
     }
     EXPECT_EQ(reader.syscalls(), msgs.size());
   }
-  // The reader alternates between two chunks, and every chunk it ever
-  // took was a small slab.
+  // A chunk takes frames until it has no room for another, so the reader
+  // acquires at most one chunk per two frames; it alternates between two
+  // chunks, and every chunk it ever took was a small slab.
   EXPECT_LE(pool.misses(), 2u);
-  EXPECT_EQ(pool.hits() + pool.misses(), msgs.size());
+  EXPECT_LE(pool.hits() + pool.misses(), msgs.size() / 2);
   EXPECT_EQ(pool.free_bytes(), pool.misses() * SlabPool::kMinSlabBytes);
 }
 
