@@ -9,6 +9,7 @@
 #include "coding/decoder.h"
 #include "coding/gf256.h"
 #include "common/bounded_queue.h"
+#include "common/clock.h"
 #include "common/rng.h"
 #include "message/codec.h"
 #include "message/msg.h"
@@ -194,8 +195,12 @@ struct WirePair {
     if (!listener) return false;
     client = TcpConn::connect(NodeId::loopback(listener->port()),
                               seconds(1.0));
-    if (!client || !wait_readable(listener->fd(), seconds(1.0))) return false;
-    server = listener->accept();
+    if (!client) return false;
+    // The listener is non-blocking: retry for up to a second.
+    for (int i = 0; i < 100 && !server; ++i) {
+      server = listener->accept();
+      if (!server) sleep_for(millis(10));
+    }
     return server.has_value() && server->set_nonblocking(false);
   }
 };

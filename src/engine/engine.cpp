@@ -1,7 +1,5 @@
 #include "engine/engine.h"
 
-#include <sys/epoll.h>
-
 #include <algorithm>
 #include <cassert>
 #include <cerrno>
@@ -14,12 +12,7 @@
 namespace iov::engine {
 
 namespace {
-constexpr Duration kHelloTimeout = seconds(1.0);
 constexpr Duration kObserverRetry = seconds(1.0);
-/// How long the listener sits out of the epoll set after EMFILE/ENFILE on
-/// accept — long enough for fds to free up, short enough that peers'
-/// connect attempts (still queued in the kernel backlog) aren't dropped.
-constexpr Duration kAcceptBackoff = millis(100);
 /// How soon a deployed source that had nothing to emit is asked again.
 constexpr Duration kSourceRepoll = millis(1);
 /// Messages, and bytes, one switch pass may move before it yields the
@@ -28,9 +21,6 @@ constexpr Duration kSourceRepoll = millis(1);
 /// and the payload slabs they pin — to about a socket buffer's worth.
 constexpr std::size_t kPassBudget = 256;
 constexpr std::size_t kPassBudgetBytes = 1 << 20;
-/// Buffer capacity of the observer and proxy connections, which carry
-/// reports and traces rather than overlay traffic.
-constexpr std::size_t kControlLinkMsgs = 1024;
 }  // namespace
 
 Engine::Engine(EngineConfig config, std::unique_ptr<Algorithm> algorithm)
@@ -82,11 +72,11 @@ bool Engine::start() {
                            << reactor_.threads() << " worker(s); fd cap "
                            << fd_cap;
   });
-  auto listener = TcpListener::listen(config_.port, config_.loopback_only,
-                                      128, config_.socket_buffer_bytes);
-  if (!listener) return false;
-  listener_ = std::move(*listener);
-  self_ = NodeId(config_.advertised_ip, listener_.port());
+  if (!acceptor_.listen(config_.port, config_.loopback_only,
+                        config_.socket_buffer_bytes)) {
+    return false;
+  }
+  self_ = NodeId(config_.advertised_ip, acceptor_.port());
 
   worker_ = &reactor_.pick();
   running_.store(true, std::memory_order_release);
@@ -98,7 +88,7 @@ bool Engine::start() {
 void Engine::boot() {
   algorithm_->bind(*this);
   start_time_ = clock_->now();
-  listening_ = worker_->add_fd(listener_.fd(), EPOLLIN, this);
+  acceptor_.start(*worker_);
   worker_->schedule_after(
       until_next_tick(config_.throughput_interval), this,
       [this] { on_throughput_tick(); }, &loop_lag_);
@@ -140,22 +130,14 @@ void Engine::teardown() {
   // never inside a link's own callback, so links are destroyed directly.
   if (torn_down_) return;
   torn_down_ = true;
-  if (listening_) worker_->del_fd(listener_.fd());
-  listening_ = false;
-  listener_.close();
+  acceptor_.stop();
   for (auto& [peer, link] : links_) link->stop();
   links_.clear();
-  for (auto& [raw, conn] : inbound_) {
-    worker_->cancel_timers(raw);
-    if (conn->conn.valid()) worker_->del_fd(conn->conn.fd());
-  }
-  inbound_.clear();
   observer_link_.reset();
   proxy_link_.reset();
-  graveyard_.clear();
   inbox_.clear();
   worker_->cancel_timers(this);
-  worker_->cancel_deferred(this);
+  worker_->cancel_deferred(this);  // destroys the retired links
   running_.store(false, std::memory_order_release);
   std::lock_guard<std::mutex> lock(done_mu_);
   done_ = true;
@@ -291,16 +273,6 @@ void Engine::run_pass() {
   }
 }
 
-void Engine::retire(std::unique_ptr<reactor::EventHandler> handler) {
-  graveyard_.push_back(std::move(handler));
-  if (graveyard_deferred_) return;
-  graveyard_deferred_ = true;
-  worker_->defer(this, [this] {
-    graveyard_deferred_ = false;
-    graveyard_.clear();
-  });
-}
-
 // --- Links ---------------------------------------------------------------------
 
 void Engine::on_link_message(PeerLink& /*link*/, MsgPtr m) {
@@ -314,7 +286,7 @@ void Engine::on_link_failed(PeerLink& link, MsgType /*kind*/) {
   // the failure is handled right here; the link object itself is retired
   // (destroyed after this callback chain).
   if (&link == observer_link_.get()) {
-    retire(std::move(observer_link_));
+    worker_->retire(this, std::move(observer_link_));
     if (!observer_retry_armed_) {
       observer_retry_armed_ = true;
       worker_->schedule_after(kObserverRetry, this, [this] {
@@ -325,7 +297,7 @@ void Engine::on_link_failed(PeerLink& link, MsgType /*kind*/) {
     return;
   }
   if (&link == proxy_link_.get()) {
-    retire(std::move(proxy_link_));  // reports fall back to the observer
+    worker_->retire(this, std::move(proxy_link_));  // reports fall back
     return;
   }
   if (find_link(link.peer()) != &link) return;  // already removed
@@ -338,99 +310,22 @@ void Engine::on_first_frame(PeerLink& link) {
   // Only the smaller node id keeps its own dial on a crossing; make sure
   // the peer's crossing connection, which reached our listener before
   // this frame left the peer, is accepted and attached first.
-  if (!(self_ < link.peer())) return;
-  accept_pending();
-  std::vector<InboundConn*> waiting;
-  for (const auto& [raw, conn] : inbound_) {
-    if (!conn->reader) waiting.push_back(raw);
-  }
-  for (InboundConn* raw : waiting) {
-    if (inbound_.count(raw) > 0) on_inbound_ready(*raw);
-  }
+  if (self_ < link.peer()) acceptor_.accept_now();
 }
 
 // --- Publicized port -------------------------------------------------------------
 
-void Engine::on_event(u32 /*events*/) { accept_pending(); }
-
-void Engine::accept_pending() {
-  while (listening_) {
-    errno = 0;
-    auto conn = listener_.accept();
-    if (!conn) {
-      if (errno == EMFILE || errno == ENFILE) {
-        // Out of descriptors: not fatal. Take the listener out of the
-        // epoll set, let links close and free fds, and retry; pending
-        // connects stay queued in the kernel backlog.
-        worker_->del_fd(listener_.fd());
-        listening_ = false;
-        worker_->schedule_after(kAcceptBackoff, this, [this] {
-          listening_ = worker_->add_fd(listener_.fd(), EPOLLIN, this);
-          accept_pending();
-        });
-        log_fd_exhaustion("accept");
-      }
-      return;
-    }
-    auto owned = std::make_unique<InboundConn>(*this, std::move(*conn));
-    InboundConn* raw = owned.get();
-    if (!worker_->add_fd(raw->conn.fd(), EPOLLIN, raw)) continue;  // drop
-    inbound_.emplace(raw, std::move(owned));
-    // A peer that never completes its hello cannot hold the fd forever.
-    worker_->schedule_after(kHelloTimeout, raw, [this, raw] {
-      drop_inbound(*raw);
-    });
-    on_inbound_ready(*raw);  // the hello may have arrived with the SYN
+void Engine::on_hello(const Hello& hello, TcpConn& conn) {
+  // Persistent connections become links; control connections stay with
+  // the acceptor, which decodes their frames into on_control_frame().
+  if (hello.kind == ConnKind::kPersistent) {
+    adopt_persistent(hello.sender, std::move(conn));
   }
 }
 
-void Engine::on_inbound_ready(InboundConn& ic) {
-  if (!ic.reader) {
-    while (ic.got < kHelloBytes) {
-      const long n =
-          ic.conn.read_some(ic.hello.data() + ic.got, kHelloBytes - ic.got);
-      if (n > 0) {
-        ic.got += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-      drop_inbound(ic);  // EOF or error before a complete hello
-      return;
-    }
-    worker_->cancel_timers(&ic);  // the hello deadline
-    const auto hello = decode_hello(ic.hello.data());
-    if (!hello) {
-      drop_inbound(ic);  // bad magic
-      return;
-    }
-    if (hello->kind == ConnKind::kPersistent) {
-      worker_->del_fd(ic.conn.fd());
-      TcpConn conn = std::move(ic.conn);
-      const auto it = inbound_.find(&ic);
-      retire(std::move(it->second));
-      inbound_.erase(it);
-      adopt_persistent(hello->sender, std::move(conn));
-      return;
-    }
-    ic.reader.emplace(ic.conn, slab_pool_);
-  }
-  // Transient control connection: every complete frame is a message for
-  // the engine; a partial one waits, without blocking, for the rest.
-  while (MsgPtr m = ic.reader->next()) enqueue(std::move(m));
-  if (!ic.reader->would_block()) drop_inbound(ic);  // EOF, error, corrupt
-}
+void Engine::on_control_frame(MsgPtr m) { enqueue(std::move(m)); }
 
-void Engine::drop_inbound(InboundConn& ic) {
-  const auto it = inbound_.find(&ic);
-  if (it == inbound_.end()) return;
-  worker_->cancel_timers(&ic);
-  if (ic.conn.valid()) {
-    worker_->del_fd(ic.conn.fd());
-    ic.conn.close();
-  }
-  retire(std::move(it->second));
-  inbound_.erase(it);
-}
+void Engine::on_accept_exhausted() { log_fd_exhaustion("accept"); }
 
 void Engine::log_fd_exhaustion(const char* where) {
   const TimePoint t = clock_->now();
@@ -480,7 +375,7 @@ void Engine::remove_link(const NodeId& peer) {
   links_.erase(it);
   rr_dirty_ = true;
   link->stop();
-  retire(std::move(link));
+  worker_->retire(this, std::move(link));
 }
 
 PeerLink* Engine::get_or_dial(const NodeId& dest) {
@@ -720,7 +615,7 @@ void Engine::on_throughput_tick() {
 
   // Resource-budget gauge (docs/METRICS.md): the listener, one per link,
   // plus observer/proxy and transient control connections.
-  std::size_t fds = 1 + rates.size() + inbound_.size();
+  std::size_t fds = 1 + rates.size() + acceptor_.pending();
   if (observer_link_) ++fds;
   if (proxy_link_) ++fds;
   engine_open_fds_.set(static_cast<i64>(fds));
@@ -788,11 +683,8 @@ void Engine::connect_observer() {
 std::unique_ptr<PeerLink> Engine::dial_control(const NodeId& dest) {
   auto conn = TcpConn::connect_start(dest);
   if (!conn) return nullptr;
-  EngineConfig sizes = config_;
-  sizes.recv_buffer_msgs = kControlLinkMsgs;
-  sizes.send_buffer_msgs = kControlLinkMsgs;
   auto link = std::make_unique<PeerLink>(
-      self_, dest, std::move(*conn), sizes, bandwidth_, *clock_, *this,
+      self_, dest, std::move(*conn), config_, bandwidth_, *clock_, *this,
       control_metrics_, slab_pool_, *worker_, /*dial_pending=*/true,
       ConnKind::kControl);
   link->start();
@@ -800,9 +692,7 @@ std::unique_ptr<PeerLink> Engine::dial_control(const NodeId& dest) {
 }
 
 bool Engine::send_control(PeerLink* link, const MsgPtr& m) {
-  if (link == nullptr || !link->send_buffer().try_push(m)) return false;
-  link->notify_send();
-  return true;
+  return link != nullptr && link->try_send(m);
 }
 
 NodeReport Engine::build_report() const {
@@ -987,8 +877,7 @@ bool Engine::flush_outbox(Outbox& outbox) {
       progress = true;
       continue;
     }
-    if (link->send_buffer().try_push(it->first)) {
-      link->notify_send();
+    if (link->try_send(it->first)) {
       down_apps_[dest].insert(it->first->app());
       it = entries.erase(it);
       progress = true;
@@ -1040,8 +929,7 @@ void Engine::send(const MsgPtr& m, const NodeId& dest) {
     enqueue(Msg::control(MsgType::kBrokenLink, dest, kControlApp));
     return;
   }
-  if (link->send_buffer().try_push(m)) {
-    link->notify_send();
+  if (link->try_send(m)) {
     // Only data messages define the per-app up/downstream topology the
     // Domino walks (see SimEngine::send for the full rationale).
     if (m->type() == MsgType::kData) down_apps_[dest].insert(m->app());

@@ -32,7 +32,6 @@
 // asked again by a 1 ms timer that exists only while that is the case.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -51,6 +50,7 @@
 #include "engine/config.h"
 #include "engine/peer_link.h"
 #include "engine/report.h"
+#include "net/acceptor.h"
 #include "net/reactor/reactor.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
@@ -71,7 +71,7 @@ enum BandwidthScope : i32 {
 
 class Engine final : public EngineApi,
                      public LinkOwner,
-                     private reactor::EventHandler {
+                     private AcceptOwner {
  public:
   /// The engine owns the algorithm; bind() happens on the engine's worker.
   Engine(EngineConfig config, std::unique_ptr<Algorithm> algorithm);
@@ -186,21 +186,10 @@ class Engine final : public EngineApi,
     Outbox outbox;
   };
 
-  /// A connection accepted on the publicized port: gathers the 16-byte
-  /// hello without blocking (bounded by kHelloTimeout), then either
-  /// becomes a PeerLink (persistent) or decodes control frames until EOF.
-  struct InboundConn final : reactor::EventHandler {
-    InboundConn(Engine& e, TcpConn c) : engine(e), conn(std::move(c)) {}
-    void on_event(u32) override { engine.on_inbound_ready(*this); }
-    Engine& engine;
-    TcpConn conn;
-    std::array<u8, kHelloBytes> hello{};
-    std::size_t got = 0;
-    std::optional<FrameReader> reader;  ///< set once a control hello arrived
-  };
-
-  // reactor::EventHandler: the listener became readable.
-  void on_event(u32 events) override;
+  // AcceptOwner: the publicized port.
+  void on_hello(const Hello& hello, TcpConn& conn) override;
+  void on_control_frame(MsgPtr m) override;
+  void on_accept_exhausted() override;
 
   // LinkOwner.
   void on_link_message(PeerLink& link, MsgPtr m) override;
@@ -214,10 +203,6 @@ class Engine final : public EngineApi,
   void drain_inbox();
   void schedule_pass();
   void run_pass();
-  void retire(std::unique_ptr<reactor::EventHandler> handler);
-  void accept_pending();
-  void on_inbound_ready(InboundConn& conn);
-  void drop_inbound(InboundConn& conn);
   void adopt_persistent(const NodeId& peer, TcpConn conn);
   void dispatch(const MsgPtr& m);
   void handle_link_failure(const NodeId& peer, bool deliberate);
@@ -268,8 +253,6 @@ class Engine final : public EngineApi,
   obs::MetricsRegistry control_metrics_;
 
   NodeId self_;
-  TcpListener listener_;
-  bool listening_ = false;  ///< listener fd in the worker's epoll set
   TimePoint start_time_ = 0;
   TimePoint last_fd_warn_ = 0;  ///< throttles the fd-exhaustion warning
 
@@ -283,15 +266,13 @@ class Engine final : public EngineApi,
   /// slabs themselves may outlive both (shared pool core).
   SlabPool slab_pool_;
 
+  /// The publicized port; control connections read into slab_pool_.
+  Acceptor acceptor_{*this, slab_pool_};
+
   // Everything below is owned by the worker thread.
   std::unordered_map<NodeId, std::unique_ptr<PeerLink>> links_;
   std::map<u32, SourceSlot> sources_;
   std::set<u32> joined_;
-  std::unordered_map<InboundConn*, std::unique_ptr<InboundConn>> inbound_;
-  /// Handlers removed inside a callback chain that may still be on the
-  /// stack; destroyed by a deferred call.
-  std::vector<std::unique_ptr<reactor::EventHandler>> graveyard_;
-  bool graveyard_deferred_ = false;
 
   std::unordered_map<NodeId, Outbox> link_outbox_;
   std::unordered_map<NodeId, int> switch_weight_;

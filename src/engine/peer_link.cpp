@@ -41,8 +41,11 @@ PeerLink::PeerLink(NodeId self, NodeId peer, TcpConn conn,
       dial_pending_(dial_pending),
       kind_(kind),
       connect_timeout_(config.connect_timeout),
-      recv_buffer_(config.recv_buffer_msgs),
-      send_buffer_(config.send_buffer_msgs),
+      // A control link hands every message to its owner, so its receive
+      // buffer stays empty.
+      recv_buffer_(kind == ConnKind::kControl ? 1 : config.recv_buffer_msgs),
+      send_buffer_(kind == ConnKind::kControl ? kControlLinkMsgs
+                                              : config.send_buffer_msgs),
       up_bytes_(metrics.counter(obs::names::kLinkBytesTotal,
                                 link_labels(peer, "up"))),
       up_msgs_(metrics.counter(obs::names::kLinkMessagesTotal,
@@ -186,7 +189,7 @@ void PeerLink::start() {
         },
         &loop_lag_);
   } else {
-    // Accepted socket, hello already consumed by the engine: go straight
+    // Accepted socket, hello already consumed by the Acceptor: go straight
     // to established. Frames may have arrived with the hello, and the
     // switch may have queued sends already.
     state_ = State::kEstablished;

@@ -37,9 +37,9 @@
 //
 // Control-plane messages received on the link (anything but kData) bypass
 // the buffers and go straight to the owner (on_link_message), as do
-// failures (on_link_failed). A link dialed with ConnKind::kControl (the
-// observer and proxy planes) hands every message to the owner and skips
-// bandwidth emulation.
+// failures (on_link_failed). A link of ConnKind::kControl (the observer
+// and proxy planes) hands every message to the owner, skips bandwidth
+// emulation and has a send buffer of kControlLinkMsgs.
 //
 // Threading: every method, constructor and destructor included, runs on
 // the link's worker thread; nothing here is shared with another thread.
@@ -76,6 +76,10 @@ struct Inbound {
 
 class PeerLink;
 
+/// Send-buffer capacity of every link of kind kControl, which carries
+/// reports, traces and commands rather than overlay traffic.
+constexpr std::size_t kControlLinkMsgs = 1024;
+
 /// The engine side of a link. Every call arrives on the link's worker
 /// thread, from inside one of the link's own callbacks: implementations
 /// must not destroy the link before the call returns.
@@ -96,8 +100,9 @@ class LinkOwner {
 
 class PeerLink final : public reactor::EventHandler {
  public:
-  /// Takes ownership of `conn`. `config` supplies the buffer capacities
-  /// and the connect timeout (read during construction only); `metrics`
+  /// Takes ownership of `conn`. `config` supplies the connect timeout and
+  /// a persistent link's buffer capacities (read during construction
+  /// only); `metrics`
   /// must outlive the link. `pool` serves the large-frame payload slabs
   /// and must outlive the link (the engine owns both). `worker` drives
   /// the link for its whole life and must be the calling thread.
@@ -122,6 +127,14 @@ class PeerLink final : public reactor::EventHandler {
   /// The switch pushed into the send buffer: pump once after the current
   /// pass (deduplicated).
   void notify_send();
+
+  /// Queues `m` and notifies; false, queueing nothing, when the send
+  /// buffer is full.
+  bool try_send(MsgPtr m) {
+    if (!send_buffer_.try_push(std::move(m))) return false;
+    notify_send();
+    return true;
+  }
 
   /// The switch drained the receive buffer: resume a reader parked on a
   /// full buffer after the current pass (no-op otherwise).

@@ -21,17 +21,6 @@ std::array<u8, kHelloBytes> encode_hello(const Hello& hello) {
   return bytes;
 }
 
-bool write_hello(TcpConn& conn, const Hello& hello) {
-  const auto bytes = encode_hello(hello);
-  return conn.write_all(bytes.data(), bytes.size());
-}
-
-std::optional<Hello> read_hello(TcpConn& conn) {
-  u8 bytes[kHelloBytes];
-  if (!conn.read_all(bytes, sizeof(bytes))) return std::nullopt;
-  return decode_hello(bytes);
-}
-
 std::optional<Hello> decode_hello(const u8* bytes) {
   if (codec::read_u32(bytes) != kMagic) return std::nullopt;
   const u32 kind = codec::read_u32(bytes + 4);
@@ -46,18 +35,6 @@ std::optional<Hello> decode_hello(const u8* bytes) {
   hello.kind = static_cast<ConnKind>(kind);
   hello.sender = NodeId(ip, static_cast<u16>(port));
   return hello;
-}
-
-bool write_msg(TcpConn& conn, const Msg& m) {
-  auto header = codec::encode_header(m);
-  iovec iov[2];
-  iov[0] = {header.data(), header.size()};
-  int iovcnt = 1;
-  if (m.payload_size() > 0) {
-    iov[1] = {const_cast<u8*>(m.payload()->data()), m.payload_size()};
-    iovcnt = 2;
-  }
-  return conn.writev_all(iov, iovcnt);
 }
 
 bool write_batch(TcpConn& conn, const MsgPtr* msgs, std::size_t n,
@@ -80,22 +57,6 @@ bool write_batch(TcpConn& conn, const MsgPtr* msgs, std::size_t n,
     done += take;
   }
   return true;
-}
-
-MsgPtr read_msg(TcpConn& conn) {
-  u8 header_bytes[Msg::kHeaderSize];
-  if (!conn.read_all(header_bytes, sizeof(header_bytes))) return nullptr;
-  const auto header = codec::decode_header(header_bytes);
-  if (!header) return nullptr;
-
-  BufferPtr payload = Buffer::empty_buffer();
-  if (header->payload_size > 0) {
-    std::vector<u8> bytes(header->payload_size);
-    if (!conn.read_all(bytes.data(), bytes.size())) return nullptr;
-    payload = Buffer::wrap(std::move(bytes));
-  }
-  return std::make_shared<Msg>(header->type, header->origin, header->app,
-                               header->seq, std::move(payload));
 }
 
 FrameReader::FrameReader(TcpConn& conn, SlabPool& pool,

@@ -49,41 +49,25 @@ struct Hello {
 constexpr std::size_t kHelloBytes = 16;
 
 /// Serializes the hello (a dialing PeerLink queues these bytes for a
-/// non-blocking write instead of write_hello's blocking call).
+/// non-blocking write).
 std::array<u8, kHelloBytes> encode_hello(const Hello& hello);
 
-/// Writes the connection hello. False on socket error.
-bool write_hello(TcpConn& conn, const Hello& hello);
-
-/// Reads and validates the hello; nullopt on bad magic or socket error.
-std::optional<Hello> read_hello(TcpConn& conn);
-
-/// Validates the kHelloBytes at `bytes` (the engine gathers them from a
+/// Validates the kHelloBytes at `bytes` (an Acceptor gathers them from a
 /// non-blocking socket); nullopt on bad magic, kind or port.
 std::optional<Hello> decode_hello(const u8* bytes);
-
-/// Writes one framed message (header + payload). The two parts go out in
-/// a single scatter-gather syscall, so a header is never its own TCP
-/// segment even with Nagle disabled. False on socket error.
-bool write_msg(TcpConn& conn, const Msg& m);
 
 /// Messages coalesced into one scatter-gather flush (2 iovecs each).
 constexpr std::size_t kMaxWireBatch = 32;
 
 /// Writes `n` framed messages on a blocking socket, coalescing up to
-/// kMaxWireBatch of them per sendmsg call. Byte-identical on the wire to
-/// n write_msg() calls and to a PeerLink's flushes. `syscalls`, when
-/// non-null, accumulates the sendmsg calls issued. False on any socket
-/// error (the stream position is then undefined — the connection must be
-/// torn down).
+/// kMaxWireBatch of them per sendmsg call; a header and its payload are
+/// never split across calls, so a header is never its own TCP segment
+/// even with Nagle disabled. Byte-identical on the wire to a PeerLink's
+/// flushes. `syscalls`, when non-null, accumulates the sendmsg calls
+/// issued. False on any socket error (the stream position is then
+/// undefined — the connection must be torn down).
 bool write_batch(TcpConn& conn, const MsgPtr* msgs, std::size_t n,
                  u64* syscalls = nullptr);
-
-/// Reads one framed message with exact-size reads (two recv syscalls and
-/// one payload allocation per message). nullptr on EOF, socket error, or
-/// a corrupt header. This is the control-plane path; the data plane uses
-/// FrameReader below.
-MsgPtr read_msg(TcpConn& conn);
 
 /// Bulk frame decoder: recv()s into a receive chunk, decodes as many
 /// complete frames per syscall as arrived, and hands payloads out as
@@ -116,9 +100,6 @@ MsgPtr read_msg(TcpConn& conn);
 /// stream of large frames is decoded without ever copying a payload
 /// byte; the guess costs one small extra recv when the stream turns
 /// small again.
-///
-/// Wire-format compatible with read_msg: the byte stream is identical,
-/// only the syscall/allocation pattern differs.
 class FrameReader {
  public:
   /// Default (full) recv chunk; bounds read-ahead (and thus how far the

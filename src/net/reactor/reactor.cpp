@@ -174,6 +174,11 @@ void Worker::cancel_deferred(void* owner) {
   }
 }
 
+void Worker::retire(void* owner, std::unique_ptr<EventHandler> handler) {
+  // A deferred call must be copyable: share the handler with it.
+  defer(owner, [dead = std::shared_ptr<EventHandler>(std::move(handler))] {});
+}
+
 bool Worker::on_worker_thread() const {
   return std::this_thread::get_id() == thread_.get_id();
 }

@@ -106,6 +106,11 @@ class Worker {
   /// Drops every deferred call made under `owner` that has not run yet.
   void cancel_deferred(void* owner);
 
+  /// Destroys `handler` once the callback chain that may still be running
+  /// one of its methods has returned: as a deferred call under `owner`,
+  /// so cancel_deferred(owner) destroys it at once.
+  void retire(void* owner, std::unique_ptr<EventHandler> handler);
+
   /// True when the calling thread is this worker's loop thread.
   bool on_worker_thread() const;
 

@@ -4,10 +4,10 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -80,26 +80,18 @@ std::optional<TcpConn> TcpConn::connect(const NodeId& dest, Duration timeout,
     ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDBUF, &half, sizeof(half));
     ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &half, sizeof(half));
   }
-  if (!iov::set_nonblocking(fd.get(), true)) return std::nullopt;
-
+  // A blocking connect gives up after SO_SNDTIMEO; later sends wait as
+  // long as they need.
+  timeval tv{static_cast<time_t>(timeout / kNanosPerSec),
+             static_cast<suseconds_t>(timeout % kNanosPerSec / 1000)};
+  ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
   const sockaddr_in addr = to_sockaddr(dest);
-  const int rc =
-      ::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr));
-  if (rc != 0) {
-    if (errno != EINPROGRESS) return std::nullopt;
-    pollfd pfd{fd.get(), POLLOUT, 0};
-    const int timeout_ms =
-        timeout < 0 ? -1 : static_cast<int>(timeout / kNanosPerMilli);
-    if (::poll(&pfd, 1, timeout_ms) <= 0) return std::nullopt;
-    int err = 0;
-    socklen_t len = sizeof(err);
-    if (::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &err, &len) != 0 ||
-        err != 0) {
-      return std::nullopt;
-    }
+  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    return std::nullopt;
   }
-  if (!iov::set_nonblocking(fd.get(), false)) return std::nullopt;
+  tv = {};
+  ::setsockopt(fd.get(), SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
   set_nodelay(fd.get());
   return TcpConn(std::move(fd));
 }
@@ -335,20 +327,14 @@ u64 raise_nofile_limit() {
 }
 
 bool TcpConn::connect_resolved() const {
-  pollfd pfd{fd_.get(), POLLOUT, 0};
-  return ::poll(&pfd, 1, 0) > 0 &&
-         (pfd.revents & (POLLOUT | POLLERR | POLLHUP)) != 0;
-}
-
-bool wait_readable(int fd, Duration timeout) {
-  pollfd pfd{fd, POLLIN, 0};
-  const int timeout_ms =
-      timeout < 0 ? -1 : static_cast<int>(timeout / kNanosPerMilli);
-  while (true) {
-    const int rc = ::poll(&pfd, 1, timeout_ms);
-    if (rc < 0 && errno == EINTR) continue;
-    return rc > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
+  // The TCP state, read without consuming a pending SO_ERROR (which
+  // finish_connect() still has to see).
+  tcp_info info{};
+  socklen_t len = sizeof(info);
+  if (::getsockopt(fd_.get(), IPPROTO_TCP, TCP_INFO, &info, &len) != 0) {
+    return false;  // EPOLLOUT resolves it
   }
+  return info.tcpi_state != TCP_SYN_SENT;
 }
 
 }  // namespace iov

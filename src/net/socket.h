@@ -3,9 +3,9 @@
 // descriptors can never leak, and all error paths reduce to "the call
 // returned false / nullopt and errno says why".
 //
-// Engines drive non-blocking sockets from the epoll reactor; the
-// observer and proxy daemons still use blocking reads and writes. Both
-// styles are supported here.
+// Engines, the observer and the proxy drive non-blocking sockets from
+// the epoll reactor. The blocking calls (connect, write_all, read_all,
+// writev_all) serve drivers, tools and tests that play a peer.
 #pragma once
 
 #include <sys/uio.h>
@@ -160,8 +160,7 @@ class TcpListener {
 
   /// Accepts one pending connection; nullopt if none is pending (the
   /// listener is non-blocking) or on error. The accepted socket is
-  /// non-blocking with TCP_NODELAY set; blocking readers call
-  /// set_nonblocking(false) first.
+  /// non-blocking with TCP_NODELAY set.
   std::optional<TcpConn> accept();
 
   void close() { fd_.reset(); }
@@ -170,10 +169,6 @@ class TcpListener {
   Fd fd_;
   u16 port_ = 0;
 };
-
-/// Waits until `fd` is readable or `timeout` elapses. Returns true when
-/// readable. A negative timeout waits forever.
-bool wait_readable(int fd, Duration timeout);
 
 /// Raises RLIMIT_NOFILE's soft limit to the hard limit (a process hosting
 /// a thousand nodes needs fds for every link, and the default soft cap is

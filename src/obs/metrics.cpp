@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -49,6 +50,19 @@ std::string format_double(double v) {
     if (std::strtod(s.c_str(), nullptr) == v) return s;
   }
   return strf("%.17g", v);
+}
+
+// Counters and gauges travel as integers but are held as doubles, which
+// round the largest parsable values past the integer range, where a cast
+// is undefined: clamp (gauges to +-INT64_MAX, what parse_i64 reads back).
+unsigned long long wire_u64(double v) {
+  return v >= 0x1p64 ? ~0ULL : v > 0 ? static_cast<unsigned long long>(v) : 0;
+}
+
+long long wire_i64(double v) {
+  constexpr long long kMax = 0x7fffffffffffffffLL;
+  if (std::isnan(v)) return 0;
+  return v >= 0x1p63 ? kMax : v <= -0x1p63 ? -kMax : static_cast<long long>(v);
 }
 
 bool parse_double(std::string_view s, double* out) {
@@ -261,10 +275,10 @@ std::string MetricsSnapshot::serialize() const {
     out.push_back(',');
     switch (s.kind) {
       case MetricKind::kCounter:
-        out += strf("%llu", static_cast<unsigned long long>(s.value));
+        out += strf("%llu", wire_u64(s.value));
         break;
       case MetricKind::kGauge:
-        out += strf("%lld", static_cast<long long>(s.value));
+        out += strf("%lld", wire_i64(s.value));
         break;
       case MetricKind::kHistogram: {
         for (std::size_t b = 0; b < s.hist.counts.size(); ++b) {
@@ -332,8 +346,12 @@ bool MetricsSnapshot::parse(std::string_view line, MetricsSnapshot* out) {
         unsigned long long n = 0;
         if (!parse_u64(bucket.substr(bc + 1), ~0ull, &n)) return false;
         if (bound_sv != "inf") {
+          // Finite only: an infinite or NaN bound does not serialize back
+          // to what this parser reads.
           double bound = 0;
-          if (!parse_double(bound_sv, &bound)) return false;
+          if (!parse_double(bound_sv, &bound) || !std::isfinite(bound)) {
+            return false;
+          }
           s.hist.bounds.push_back(bound);
         }
         s.hist.counts.push_back(n);

@@ -1,9 +1,6 @@
 #include "observer/observer.h"
 
-#include <poll.h>
-
 #include <cstdio>
-#include <fstream>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -11,11 +8,6 @@
 #include "obs/metric_names.h"
 
 namespace iov::observer {
-
-namespace {
-constexpr Duration kPollTimeout = millis(50);
-constexpr Duration kHelloTimeout = seconds(1.0);
-}  // namespace
 
 Observer::Observer(ObserverConfig config)
     : config_(std::move(config)),
@@ -28,111 +20,78 @@ Observer::Observer(ObserverConfig config)
       report_rtt_(
           metrics_.histogram(obs::names::kObserverReportRttSeconds)) {}
 
-Observer::~Observer() {
-  stop();
-  join();
-}
+Observer::~Observer() { stop(); }
 
 bool Observer::start() {
-  suppress_sigpipe();
-  auto listener = TcpListener::listen(config_.port, config_.loopback_only);
-  if (!listener) return false;
-  listener_ = std::move(*listener);
-  self_ = NodeId::loopback(listener_.port());
-  thread_ = std::thread([this] { observer_main(); });
+  if (!acceptor_.listen(config_.port, config_.loopback_only)) return false;
+  self_ = NodeId::loopback(acceptor_.port());
+  if (!config_.trace_path.empty()) {
+    trace_log_.open(config_.trace_path, std::ios::app);
+  }
+  worker_.call([this] { acceptor_.start(worker_); });
   return true;
 }
 
-void Observer::stop() { stop_requested_.store(true, std::memory_order_release); }
-
-void Observer::join() {
-  if (thread_.joinable()) thread_.join();
+void Observer::stop() {
+  worker_.call([this] {
+    acceptor_.stop();
+    for (auto& [id, link] : links_) link->stop();
+    links_.clear();
+    worker_.cancel_deferred(this);  // destroys the retired links
+  });
 }
 
-void Observer::observer_main() {
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    std::vector<pollfd> fds;
-    std::vector<Conn*> polled;
-    fds.push_back({listener_.fd(), POLLIN, 0});
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& c : conns_) {
-        fds.push_back({c->conn.fd(), POLLIN, 0});
-        polled.push_back(c.get());
-      }
-    }
-
-    const int rc = ::poll(fds.data(), fds.size(),
-                          static_cast<int>(kPollTimeout / kNanosPerMilli));
-    if (rc <= 0) continue;
-
-    // Process existing connections before accepting new ones: a
-    // reconnect in handle_accept() erases the stale Conn the `polled`
-    // snapshot still points at.
-    std::vector<NodeId> dead;
-    for (std::size_t i = 0; i < polled.size(); ++i) {
-      if (!(fds[i + 1].revents & (POLLIN | POLLHUP))) continue;
-      if (MsgPtr m = read_msg(polled[i]->conn)) {
-        handle_msg(*polled[i], m);
-      } else {
-        dead.push_back(polled[i]->node);
-      }
-    }
-    for (const auto& node : dead) mark_dead(node);
-
-    if (fds[0].revents & POLLIN) handle_accept();
-  }
-  listener_.close();
-  std::lock_guard<std::mutex> lock(mu_);
-  conns_.clear();
-}
-
-void Observer::handle_accept() {
-  while (auto conn = listener_.accept()) {
-    conn->set_nonblocking(false);  // this daemon reads with blocking calls
-    if (!wait_readable(conn->fd(), kHelloTimeout)) continue;
-    const auto hello = read_hello(*conn);
-    if (!hello || hello->kind != ConnKind::kControl) continue;
-    auto entry = std::make_unique<Conn>();
-    entry->node = hello->sender;
-    entry->conn = std::move(*conn);
-    std::lock_guard<std::mutex> lock(mu_);
+void Observer::on_hello(const Hello& hello, TcpConn& conn) {
+  if (hello.kind != ConnKind::kControl) return;  // the acceptor closes it
+  auto link = std::make_unique<engine::PeerLink>(
+      self_, hello.sender, std::move(conn), engine::EngineConfig{},
+      bandwidth_, RealClock::instance(), *this, link_metrics_, slab_pool_,
+      worker_, /*dial_pending=*/false, ConnKind::kControl);
+  auto& slot = links_[hello.sender];
+  if (slot) {
     // A reconnecting node replaces its stale connection.
-    std::erase_if(conns_,
-                  [&](const auto& c) { return c->node == hello->sender; });
-    conns_.push_back(std::move(entry));
+    slot->stop();
+    worker_.retire(this, std::move(slot));
   }
+  slot = std::move(link);
+  slot->start();
 }
 
-void Observer::handle_msg(Conn& c, const MsgPtr& m) {
+void Observer::on_link_failed(engine::PeerLink& link, MsgType /*kind*/) {
+  const NodeId node = link.peer();
+  const auto it = links_.find(node);
+  if (it == links_.end() || it->second.get() != &link) return;
+  worker_.retire(this, std::move(it->second));  // still on the stack
+  links_.erase(it);
+  const auto info = nodes_.find(node);
+  if (info != nodes_.end()) info->second.alive = false;
+}
+
+void Observer::on_link_message(engine::PeerLink& link, MsgPtr m) {
   const TimePoint t = RealClock::instance().now();
   switch (m->type()) {
     case MsgType::kBoot: {
       boots_seen_.inc();
-      std::string subset;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto& info = nodes_[m->origin()];
-        info.id = m->origin();
-        info.alive = true;
-        info.booted_at = t;
-        info.last_seen = t;
+      auto& info = nodes_[m->origin()];
+      info.id = m->origin();
+      info.alive = true;
+      info.booted_at = t;
+      info.last_seen = t;
 
-        // "responding to any bootstrap requests with a random subset of
-        // existing nodes that are alive" (§2.2).
-        std::vector<NodeId> alive;
-        for (const auto& [id, n] : nodes_) {
-          if (n.alive && id != m->origin()) alive.push_back(id);
-        }
-        for (const auto& id : rng_.sample(alive, config_.bootstrap_subset)) {
-          if (!subset.empty()) subset += ',';
-          subset += id.to_string();
-        }
+      // "responding to any bootstrap requests with a random subset of
+      // existing nodes that are alive" (§2.2).
+      std::vector<NodeId> alive;
+      for (const auto& [id, n] : nodes_) {
+        if (n.alive && id != m->origin()) alive.push_back(id);
+      }
+      std::string subset;
+      for (const auto& id : rng_.sample(alive, config_.bootstrap_subset)) {
+        if (!subset.empty()) subset += ',';
+        subset += id.to_string();
       }
       const auto reply = Msg::control(MsgType::kBootReply, self_, kControlApp,
                                       0, 0, subset);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!write_msg(c.conn, *reply)) {
+      if (!link.try_send(reply)) {
         IOV_LOG_WARN("observer") << "bootstrap reply to "
                                  << m->origin().to_string() << " failed";
       }
@@ -156,7 +115,6 @@ void Observer::handle_msg(Conn& c, const MsgPtr& m) {
         }
       }
 
-      std::lock_guard<std::mutex> lock(mu_);
       auto& info = nodes_[m->origin()];
       info.id = m->origin();
       info.alive = true;
@@ -174,12 +132,11 @@ void Observer::handle_msg(Conn& c, const MsgPtr& m) {
     case MsgType::kTrace: {
       traces_seen_.inc();
       TraceRecord record{t, m->origin(), std::string(m->text())};
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!config_.trace_path.empty()) {
-        std::ofstream out(config_.trace_path, std::ios::app);
-        out << strf("[%12.6f] %s ", to_seconds(t),
-                    record.node.to_string().c_str())
-            << record.text << '\n';
+      if (trace_log_.is_open()) {
+        trace_log_ << strf("[%12.6f] %s ", to_seconds(t),
+                           record.node.to_string().c_str())
+                   << record.text << '\n'
+                   << std::flush;
       }
       traces_.push_back(std::move(record));
       return;
@@ -193,53 +150,52 @@ void Observer::handle_msg(Conn& c, const MsgPtr& m) {
   }
 }
 
-void Observer::mark_dead(const NodeId& node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::erase_if(conns_, [&](const auto& c) { return c->node == node; });
-  const auto it = nodes_.find(node);
-  if (it != nodes_.end()) it->second.alive = false;
-}
-
 std::vector<Observer::NodeInfo> Observer::nodes() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<NodeInfo> out;
-  out.reserve(nodes_.size());
-  for (const auto& [id, info] : nodes_) out.push_back(info);
+  worker_.call([&] {
+    out.reserve(nodes_.size());
+    for (const auto& [id, info] : nodes_) out.push_back(info);
+  });
   return out;
 }
 
 std::optional<Observer::NodeInfo> Observer::node(const NodeId& id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = nodes_.find(id);
-  if (it == nodes_.end()) return std::nullopt;
-  return it->second;
+  std::optional<NodeInfo> out;
+  worker_.call([&] {
+    const auto it = nodes_.find(id);
+    if (it != nodes_.end()) out = it->second;
+  });
+  return out;
 }
 
 std::size_t Observer::alive_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
-  for (const auto& [id, info] : nodes_) n += info.alive ? 1 : 0;
+  worker_.call([&] {
+    for (const auto& [id, info] : nodes_) n += info.alive ? 1 : 0;
+  });
   return n;
 }
 
 std::vector<TraceRecord> Observer::traces() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return traces_;
+  std::vector<TraceRecord> out;
+  worker_.call([&] { out = traces_; });
+  return out;
 }
 
 std::string Observer::topology_dot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::string out = "digraph overlay {\n";
-  for (const auto& [id, info] : nodes_) {
-    out += strf("  \"%s\" [style=%s];\n", id.to_string().c_str(),
-                info.alive ? "solid" : "dashed");
-    if (!info.last_report) continue;
-    for (const auto& down : info.last_report->downstreams) {
-      out += strf("  \"%s\" -> \"%s\" [label=\"%.1f KB/s\"];\n",
-                  id.to_string().c_str(), down.peer.to_string().c_str(),
-                  down.rate_bps / 1000.0);
+  worker_.call([&] {
+    for (const auto& [id, info] : nodes_) {
+      out += strf("  \"%s\" [style=%s];\n", id.to_string().c_str(),
+                  info.alive ? "solid" : "dashed");
+      if (!info.last_report) continue;
+      for (const auto& down : info.last_report->downstreams) {
+        out += strf("  \"%s\" -> \"%s\" [label=\"%.1f KB/s\"];\n",
+                    id.to_string().c_str(), down.peer.to_string().c_str(),
+                    down.rate_bps / 1000.0);
+      }
     }
-  }
+  });
   out += "}\n";
   return out;
 }
@@ -247,34 +203,35 @@ std::string Observer::topology_dot() const {
 obs::MetricsSnapshot Observer::metrics_snapshot() const {
   obs::MetricsSnapshot own = metrics_.snapshot();
   own.add_label("node", "observer");
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, info] : nodes_) {
-    if (!info.last_metrics) continue;
-    obs::MetricsSnapshot node_snap = *info.last_metrics;
-    node_snap.add_label("node", id.to_string());
-    own.merge(node_snap);
-  }
+  worker_.call([&] {
+    for (const auto& [id, info] : nodes_) {
+      if (!info.last_metrics) continue;
+      obs::MetricsSnapshot node_snap = *info.last_metrics;
+      node_snap.add_label("node", id.to_string());
+      own.merge(node_snap);
+    }
+  });
   return own;
 }
 
 bool Observer::request_report(const NodeId& node) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
+  worker_.call([&] {
     // Keep the earliest outstanding request so overlapping requests do
     // not shrink the measured round-trip.
     pending_requests_.try_emplace(node, RealClock::instance().now());
-  }
+  });
   return send_control(node, MsgType::kRequest);
 }
 
 bool Observer::send_control(const NodeId& node, MsgType type, i32 p0, i32 p1,
                             std::string_view text) {
   const auto m = Msg::control(type, self_, kControlApp, p0, p1, text);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& c : conns_) {
-    if (c->node == node) return write_msg(c->conn, *m);
-  }
-  return false;
+  bool sent = false;
+  worker_.call([&] {
+    const auto it = links_.find(node);
+    sent = it != links_.end() && it->second->try_send(m);
+  });
+  return sent;
 }
 
 bool Observer::set_bandwidth(const NodeId& node, i32 scope,

@@ -19,23 +19,27 @@
 // Each node holds one persistent control connection to the observer
 // (dialed at engine start); the observer writes commands down the same
 // connection the node reports on.
+//
+// Threading: none of its own. Like an engine, the observer lives on one
+// worker of the shared epoll reactor (DESIGN.md §9): its Acceptor, one
+// PeerLink of kind kControl per node and all its state. The driver calls
+// below run there through Worker::call; make them from a driver thread,
+// never from a reactor worker.
 #pragma once
 
-#include <atomic>
-#include <deque>
+#include <fstream>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/node_id.h"
 #include "common/rng.h"
+#include "engine/peer_link.h"
 #include "engine/report.h"
-#include "net/framing.h"
-#include "net/socket.h"
+#include "net/acceptor.h"
+#include "net/bandwidth.h"
 #include "obs/metrics.h"
 
 namespace iov::observer {
@@ -57,7 +61,7 @@ struct TraceRecord {
   std::string text;
 };
 
-class Observer {
+class Observer final : public engine::LinkOwner, private AcceptOwner {
  public:
   explicit Observer(ObserverConfig config);
   ~Observer();
@@ -65,10 +69,13 @@ class Observer {
   Observer(const Observer&) = delete;
   Observer& operator=(const Observer&) = delete;
 
-  /// Binds the port and spawns the observer thread.
+  /// Binds the port, opens the trace log and joins a reactor worker.
   bool start();
+  /// Closes the port and every node connection; returns once they are
+  /// closed. Idempotent.
   void stop();
-  void join();
+  /// Waits for stop(); stop() is synchronous, so this returns at once.
+  void join() {}
 
   /// Address nodes should be configured with (EngineConfig::observer).
   NodeId address() const { return self_; }
@@ -117,8 +124,9 @@ class Observer {
 
   // --- Control panel (thread safe) ---------------------------------------------
 
-  /// Sends an arbitrary control message to `node`. Returns false if the
-  /// node has no live connection.
+  /// Queues an arbitrary control message to `node`. Returns false if the
+  /// node has no live connection or its send buffer is full (a node that
+  /// stops reading never blocks the caller).
   bool send_control(const NodeId& node, MsgType type, i32 p0 = 0, i32 p1 = 0,
                     std::string_view text = {});
 
@@ -181,20 +189,17 @@ class Observer {
   bool request_report(const NodeId& node);
 
  private:
-  struct Conn {
-    NodeId node;
-    TcpConn conn;
-  };
+  // engine::LinkOwner: the node connections.
+  void on_link_message(engine::PeerLink& link, MsgPtr m) override;
+  void on_link_failed(engine::PeerLink& link, MsgType kind) override;
 
-  void observer_main();
-  void handle_accept();
-  void handle_msg(Conn& c, const MsgPtr& m);
-  void mark_dead(const NodeId& node);
+  // AcceptOwner: every control connection becomes a node link.
+  void on_hello(const Hello& hello, TcpConn& conn) override;
+
 
   ObserverConfig config_;
   Rng rng_;
   NodeId self_;
-  TcpListener listener_;
 
   // Observability: registry first, cached handles after (reference
   // members — declaration order fixes ctor init order).
@@ -205,14 +210,20 @@ class Observer {
   obs::Counter& traces_seen_;
   obs::Histogram& report_rtt_;
 
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Conn>> conns_;
+  // What the node links need besides their sockets: an emulator they
+  // skip, and a registry for their meters, kept out of the exports.
+  BandwidthEmulator bandwidth_;
+  obs::MetricsRegistry link_metrics_;
+  SlabPool slab_pool_;
+  Acceptor acceptor_{*this, slab_pool_};
+  reactor::Worker& worker_{reactor::Reactor::shared().pick()};
+
+  // Everything below is owned by the worker thread.
+  std::unordered_map<NodeId, std::unique_ptr<engine::PeerLink>> links_;
   std::map<NodeId, NodeInfo> nodes_;
   std::vector<TraceRecord> traces_;
   std::map<NodeId, TimePoint> pending_requests_;  ///< kRequest sent, no reply
-
-  std::thread thread_;
-  std::atomic<bool> stop_requested_{false};
+  std::ofstream trace_log_;  ///< trace_path, open from start() to stop()
 };
 
 }  // namespace iov::observer

@@ -150,6 +150,22 @@ StreamingChurnResult run_real_streaming_churn(
   }
   const NodeId source = source_engine->self();
 
+  const auto deadline_wait = [&](const auto& pred, Duration limit) {
+    const TimePoint until = RealClock::instance().now() + limit;
+    while (!pred()) {
+      if (RealClock::instance().now() >= until) return false;
+      sleep_for(millis(10));
+    }
+    return true;
+  };
+  // Viewers find the tree through bootstrap replies naming the nodes
+  // registered before them, so the source registers first (the simulated
+  // run bootstraps every viewer with it); boots register as they arrive.
+  if (!deadline_wait([&] { return obs.alive_count() == 1; }, seconds(10.0))) {
+    out.verify_failures.push_back("source never registered with observer");
+    return out;
+  }
+
   std::vector<RealViewer> viewers(out.schedule.viewers);
   for (auto& v : viewers) {
     v.engine = make_engine(&v.alg);
@@ -161,14 +177,6 @@ StreamingChurnResult run_real_streaming_churn(
     }
   }
 
-  const auto deadline_wait = [&](const auto& pred, Duration limit) {
-    const TimePoint until = RealClock::instance().now() + limit;
-    while (!pred()) {
-      if (RealClock::instance().now() >= until) return false;
-      sleep_for(millis(10));
-    }
-    return true;
-  };
   if (!deadline_wait(
           [&] { return obs.alive_count() == viewers.size() + 1; },
           seconds(10.0))) {

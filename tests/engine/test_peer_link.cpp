@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "engine_test_util.h"
+#include "../net/net_test_util.h"
 #include "message/codec.h"
 #include "net/reactor/reactor.h"
 #include "obs/metric_names.h"
@@ -182,7 +183,7 @@ TEST(PeerLinkGolden, DialingLinkWritesTheDocumentedBytes) {
   auto link = fx.link(kDialer, acceptor, std::move(*conn),
                       /*dial_pending=*/true, golden_msgs());
 
-  ASSERT_TRUE(wait_readable(listener->fd(), seconds(2.0)));
+  ASSERT_TRUE(test::wait_readable(listener->fd(), seconds(2.0)));
   auto raw = listener->accept();
   ASSERT_TRUE(raw.has_value());
   ASSERT_TRUE(raw->set_nonblocking(false));
@@ -210,12 +211,12 @@ TEST(PeerLinkGolden, AcceptingLinkDecodesTheDocumentedBytes) {
   const std::vector<u8> stream = golden_stream();
   ASSERT_TRUE(raw->write_all(stream.data(), stream.size()));
 
-  ASSERT_TRUE(wait_readable(listener->fd(), seconds(1.0)));
+  ASSERT_TRUE(test::wait_readable(listener->fd(), seconds(1.0)));
   auto accepted = listener->accept();
   ASSERT_TRUE(accepted.has_value());
   // The engine consumes the hello before it hands the socket to a link.
   ASSERT_TRUE(accepted->set_nonblocking(false));
-  const auto hello = read_hello(*accepted);
+  const auto hello = test::read_hello(*accepted);
   ASSERT_TRUE(hello.has_value());
   EXPECT_EQ(hello->kind, ConnKind::kPersistent);
   EXPECT_EQ(hello->sender, kDialer);
@@ -278,13 +279,16 @@ bool open_crossing(Fixture& fx, Crossing* c) {
   if (!dial) return false;
   c->link = fx.link(NodeId::loopback(1), peer, std::move(*dial),
                     /*dial_pending=*/true);
-  if (!wait_readable(l1->fd(), seconds(2.0))) return false;
+  if (!test::wait_readable(l1->fd(), seconds(2.0))) return false;
   c->main = l1->accept();
-  if (!c->main || !c->main->set_nonblocking(false) || !read_hello(*c->main)) {
+  if (!c->main || !c->main->set_nonblocking(false) ||
+      !test::read_hello(*c->main)) {
     return false;
   }
   c->crossing = TcpConn::connect(NodeId::loopback(l2->port()), seconds(1.0));
-  if (!c->crossing || !wait_readable(l2->fd(), seconds(1.0))) return false;
+  if (!c->crossing || !test::wait_readable(l2->fd(), seconds(1.0))) {
+    return false;
+  }
   c->crossing_accepted = l2->accept();
   return c->crossing_accepted.has_value();
 }
@@ -312,9 +316,9 @@ TEST(PeerLinkCrossing, CrossingFoundBeforeAnyFrameIsDeliveredFirst) {
   fx.worker.call([&] { c.link->drain_crossing(std::move(*c.crossing_accepted)); });
   // The surviving link's frames are on the wire first, yet the crossing
   // connection's older frames must be delivered ahead of them.
-  for (u32 seq : {10u, 11u, 12u}) ASSERT_TRUE(write_msg(*c.main, *numbered(seq)));
+  for (u32 seq : {10u, 11u, 12u}) ASSERT_TRUE(test::write_frame(*c.main, numbered(seq)));
   sleep_for(millis(20));
-  for (u32 seq : {0u, 1u}) ASSERT_TRUE(write_msg(*c.crossing, *numbered(seq)));
+  for (u32 seq : {0u, 1u}) ASSERT_TRUE(test::write_frame(*c.crossing, numbered(seq)));
   c.crossing->shutdown_write();
   EXPECT_EQ(received(fx, *c.link, 5),
             (std::vector<u32>{0, 1, 10, 11, 12}));
@@ -326,16 +330,16 @@ TEST(PeerLinkCrossing, CrossingFoundLateLosesNothingAndKeepsTheLink) {
   Fixture fx;
   Crossing c;
   ASSERT_TRUE(open_crossing(fx, &c));
-  for (u32 seq : {10u, 11u}) ASSERT_TRUE(write_msg(*c.main, *numbered(seq)));
+  for (u32 seq : {10u, 11u}) ASSERT_TRUE(test::write_frame(*c.main, numbered(seq)));
   ASSERT_EQ(received(fx, *c.link, 2), (std::vector<u32>{10, 11}));
   // Frames were delivered already: the crossing is still read to EOF
   // first, and its EOF ends only the crossing connection, not the link.
   fx.worker.call([&] { c.link->drain_crossing(std::move(*c.crossing_accepted)); });
-  for (u32 seq : {0u, 1u}) ASSERT_TRUE(write_msg(*c.crossing, *numbered(seq)));
+  for (u32 seq : {0u, 1u}) ASSERT_TRUE(test::write_frame(*c.crossing, numbered(seq)));
   c.crossing->shutdown_write();
-  ASSERT_TRUE(write_msg(*c.main, *numbered(12)));
+  ASSERT_TRUE(test::write_frame(*c.main, numbered(12)));
   EXPECT_EQ(received(fx, *c.link, 3), (std::vector<u32>{0, 1, 12}));
-  ASSERT_TRUE(write_msg(*c.main, *numbered(13)));  // the link lives on
+  ASSERT_TRUE(test::write_frame(*c.main, numbered(13)));  // the link lives on
   EXPECT_EQ(received(fx, *c.link, 1), (std::vector<u32>{13}));
   EXPECT_FALSE(fx.sink.failed());
   fx.destroy(c.link);
@@ -361,7 +365,7 @@ std::size_t run_tail_cycle(Fixture& fx) {
   if (!listener) return 0;
   auto conn = TcpConn::connect(NodeId::loopback(listener->port()),
                                seconds(1.0), kSocketBytes);
-  if (!conn || !wait_readable(listener->fd(), seconds(1.0))) return 0;
+  if (!conn || !test::wait_readable(listener->fd(), seconds(1.0))) return 0;
   auto raw = listener->accept();
   if (!raw || !raw->set_nonblocking(false) || !conn->set_nonblocking(true)) {
     return 0;
@@ -382,7 +386,7 @@ std::size_t run_tail_cycle(Fixture& fx) {
   std::vector<u8> bytes;
   u8 chunk[4096];
   while (bytes.size() < kTailMsgs * frame &&
-         wait_readable(raw->fd(), millis(500))) {
+         test::wait_readable(raw->fd(), millis(500))) {
     const long n = raw->read_some(chunk, sizeof(chunk));
     if (n <= 0) break;
     bytes.insert(bytes.end(), chunk, chunk + n);
@@ -486,7 +490,9 @@ struct ClockRig {
     if (!listener) return false;
     auto raw = TcpConn::connect(NodeId::loopback(listener->port()),
                                 seconds(1.0));
-    if (!raw || !wait_readable(listener->fd(), seconds(1.0))) return false;
+    if (!raw || !test::wait_readable(listener->fd(), seconds(1.0))) {
+      return false;
+    }
     auto accepted = listener->accept();
     if (!accepted || !accepted->set_nonblocking(true) ||
         !raw->set_nonblocking(false)) {

@@ -6,6 +6,7 @@
 #include "message/codec.h"
 #include "net/framing.h"
 #include "net/socket.h"
+#include "../net/net_test_util.h"
 
 namespace iov {
 namespace {
@@ -42,23 +43,25 @@ TEST(FramingProperty, RandomPayloadsSurviveSockets) {
   auto client =
       TcpConn::connect(NodeId::loopback(listener->port()), seconds(1.0));
   ASSERT_TRUE(client.has_value());
-  ASSERT_TRUE(wait_readable(listener->fd(), seconds(1.0)));
+  ASSERT_TRUE(test::wait_readable(listener->fd(), seconds(1.0)));
   auto server = listener->accept();
   ASSERT_TRUE(server.has_value());
   ASSERT_TRUE(server->set_nonblocking(false));
 
+  SlabPool pool;
+  FrameReader reader(*server, pool);
   Rng rng(99);
   for (int i = 0; i < 200; ++i) {
     const std::size_t size = rng.below(2000);
     std::vector<u8> payload(size);
     for (auto& b : payload) b = static_cast<u8>(rng.below(256));
-    const auto m = std::make_shared<Msg>(
+    const MsgPtr m = std::make_shared<Msg>(
         from_wire(static_cast<u32>(rng.below(0x400))),
         NodeId(static_cast<u32>(rng()), static_cast<u16>(rng.below(65536))),
         static_cast<u32>(rng()), static_cast<u32>(rng()),
         Buffer::wrap(std::move(payload)));
-    ASSERT_TRUE(write_msg(*client, *m));
-    const MsgPtr got = read_msg(*server);
+    ASSERT_TRUE(write_batch(*client, &m, 1));
+    const MsgPtr got = reader.next();
     ASSERT_NE(got, nullptr);
     EXPECT_EQ(got->type(), m->type());
     EXPECT_EQ(got->origin(), m->origin());

@@ -1,8 +1,7 @@
-// Wire-path batching tests (DESIGN.md §8): write_batch / FrameReader
-// against the control-plane write_msg / read_msg path over real loopback
-// TCP. The two paths must be byte-identical on the wire, so every
-// combination of sender and reader interoperates; the robustness cases
-// (corruption, truncation) are exercised against both readers.
+// Wire-path batching tests (DESIGN.md §8): write_batch and FrameReader
+// over real loopback TCP. Frames written one at a time and frames
+// coalesced into one sendmsg are the same bytes, and FrameReader decodes
+// both in bulk; the robustness cases cover corruption and truncation.
 #include "net/framing.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +15,7 @@
 #include <vector>
 
 #include "message/codec.h"
+#include "net_test_util.h"
 
 namespace iov {
 namespace {
@@ -31,7 +31,7 @@ Pair make_pair() {
   auto client =
       TcpConn::connect(NodeId::loopback(listener->port()), seconds(1.0));
   EXPECT_TRUE(client.has_value());
-  EXPECT_TRUE(wait_readable(listener->fd(), seconds(1.0)));
+  EXPECT_TRUE(test::wait_readable(listener->fd(), seconds(1.0)));
   auto server = listener->accept();
   EXPECT_TRUE(server.has_value());
   EXPECT_TRUE(server->set_nonblocking(false));  // the tests read blocking
@@ -58,9 +58,9 @@ void expect_same_payload(const MsgPtr& got, const MsgPtr& want) {
   EXPECT_EQ(got->payload()->view(), want->payload()->view());
 }
 
-// --- Interop: every sender/reader combination decodes the same stream ----
+// --- Single and batched writes decode the same stream ---------------------
 
-TEST(WireBatch, BatchedWriteReadByLegacyReader) {
+TEST(WireBatch, BatchCoalescesUpTo32FramesPerSendmsg) {
   auto pair = make_pair();
   const auto msgs = make_msgs(50, 100);
   u64 syscalls = 0;
@@ -68,15 +68,17 @@ TEST(WireBatch, BatchedWriteReadByLegacyReader) {
   // 50 messages coalesce into ceil(50/32) = 2 sendmsg calls.
   EXPECT_LE(syscalls, 4u);
   EXPECT_GE(syscalls, 2u);
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
   for (const auto& want : msgs) {
-    expect_same_payload(read_msg(pair.server), want);
+    expect_same_payload(reader.next(), want);
   }
 }
 
-TEST(WireBatch, LegacyWritesReadByFrameReader) {
+TEST(WireBatch, SingleFrameWritesReadInBulk) {
   auto pair = make_pair();
   const auto msgs = make_msgs(50, 100);
-  for (const auto& m : msgs) ASSERT_TRUE(write_msg(pair.client, *m));
+  for (const auto& m : msgs) ASSERT_TRUE(test::write_frame(pair.client, m));
   SlabPool pool;
   FrameReader reader(pair.server, pool);
   for (const auto& want : msgs) {
@@ -112,13 +114,15 @@ TEST(WireBatch, ZeroPayloadMessages) {
   }
 }
 
-TEST(WireBatch, SingleMessageBatchEqualsWriteMsg) {
+TEST(WireBatch, SingleMessageBatchIsOneSendmsg) {
   auto pair = make_pair();
   const auto msgs = make_msgs(1, 333);
   u64 syscalls = 0;
   ASSERT_TRUE(write_batch(pair.client, msgs.data(), 1, &syscalls));
   EXPECT_EQ(syscalls, 1u);
-  expect_same_payload(read_msg(pair.server), msgs[0]);
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
+  expect_same_payload(reader.next(), msgs[0]);
 }
 
 // --- FrameReader internals: chunk reuse, compaction, slices ---------------
@@ -190,8 +194,8 @@ TEST(FrameReader, FrameExactlyAtChunkSizeStaysOnSlicePath) {
   const auto at = make_msgs(1, 256 - Msg::kHeaderSize);
   const auto after = make_msgs(1, 32);
   std::thread writer([&] {
-    EXPECT_TRUE(write_msg(pair.client, *at[0]));
-    EXPECT_TRUE(write_msg(pair.client, *after[0]));
+    EXPECT_TRUE(test::write_frame(pair.client, at[0]));
+    EXPECT_TRUE(test::write_frame(pair.client, after[0]));
   });
   SlabPool pool;
   FrameReader reader(pair.server, pool, 256);
@@ -209,7 +213,7 @@ TEST(FrameReader, FrameOneByteOverChunkTakesThePooledLargePath) {
   auto pair = make_pair();
   const auto over = make_msgs(1, 256 - Msg::kHeaderSize + 1);
   std::thread writer(
-      [&] { EXPECT_TRUE(write_msg(pair.client, *over[0])); });
+      [&] { EXPECT_TRUE(test::write_frame(pair.client, over[0])); });
   SlabPool pool;
   FrameReader reader(pair.server, pool, 256);
   MsgPtr got = reader.next();
@@ -233,8 +237,8 @@ TEST(FrameReader, LargeHeaderStraddlingSlicedChunkCarryOver) {
   const auto small = make_msgs(1, 220);
   const auto big = make_msgs(1, 1000);
   std::thread writer([&] {
-    EXPECT_TRUE(write_msg(pair.client, *small[0]));
-    EXPECT_TRUE(write_msg(pair.client, *big[0]));
+    EXPECT_TRUE(test::write_frame(pair.client, small[0]));
+    EXPECT_TRUE(test::write_frame(pair.client, big[0]));
   });
   SlabPool pool;
   FrameReader reader(pair.server, pool, 256);
@@ -257,7 +261,7 @@ TEST(FrameReader, LargeFramesInterleavedWithSlicedSmallFrames) {
   }
   // The whole ~5.7 KB stream is queued before the first read, so every
   // recv returns what it asks for and the acquire count is exact.
-  for (const auto& m : msgs) ASSERT_TRUE(write_msg(pair.client, *m));
+  for (const auto& m : msgs) ASSERT_TRUE(test::write_frame(pair.client, m));
   SlabPool pool;
   FrameReader reader(pair.server, pool, 256);
   std::vector<MsgPtr> got;  // hold all payloads live across the stream
@@ -285,7 +289,7 @@ TEST(FrameReader, SteadyLargeStreamRecyclesOneSlab) {
   auto pair = make_pair();
   const auto msgs = make_msgs(20, 1000);
   std::thread writer([&] {
-    for (const auto& m : msgs) EXPECT_TRUE(write_msg(pair.client, *m));
+    for (const auto& m : msgs) EXPECT_TRUE(test::write_frame(pair.client, m));
   });
   SlabPool pool;
   FrameReader reader(pair.server, pool, 256);
@@ -313,7 +317,7 @@ TEST(FrameReader, OneFramePerRecvRecyclesSmallChunks) {
     for (const auto& want : msgs) {
       // One frame in the socket per read, each payload released before
       // the next: a low-rate link.
-      ASSERT_TRUE(write_msg(pair.client, *want));
+      ASSERT_TRUE(test::write_frame(pair.client, want));
       expect_same_payload(reader.next(), want);
     }
     EXPECT_EQ(reader.syscalls(), msgs.size());
@@ -423,7 +427,7 @@ TEST(FrameReader, PooledPayloadOutlivesReaderAndPool) {
   auto pair = make_pair();
   const auto msgs = make_msgs(1, 2000);
   std::thread writer(
-      [&] { EXPECT_TRUE(write_msg(pair.client, *msgs[0])); });
+      [&] { EXPECT_TRUE(test::write_frame(pair.client, msgs[0])); });
   MsgPtr got;
   {
     SlabPool pool;
@@ -437,7 +441,7 @@ TEST(FrameReader, PooledPayloadOutlivesReaderAndPool) {
   writer.join();
 }
 
-// --- Robustness: corruption and truncation, both readers ------------------
+// --- Robustness: corruption and truncation --------------------------------
 
 // A header whose payload_size field exceeds Msg::kMaxPayload.
 std::vector<u8> oversize_header() {
@@ -517,28 +521,6 @@ TEST(FrameReader, TruncationMidLargeFrame) {
   FrameReader reader(pair.server, pool, 256);
   EXPECT_EQ(reader.next(), nullptr);
   EXPECT_FALSE(reader.corrupt());
-}
-
-TEST(LegacyReader, TruncationMidPayloadReturnsNull) {
-  auto pair = make_pair();
-  codec::Header h;
-  h.type = MsgType::kData;
-  h.origin = NodeId::loopback(1);
-  h.payload_size = 1000;
-  const auto header = codec::encode_header(h);
-  ASSERT_TRUE(pair.client.write_all(header.data(), header.size()));
-  const u8 partial[10] = {};
-  ASSERT_TRUE(pair.client.write_all(partial, sizeof(partial)));
-  pair.client.shutdown_write();
-  EXPECT_EQ(read_msg(pair.server), nullptr);
-}
-
-TEST(LegacyReader, TruncationMidHeaderReturnsNull) {
-  auto pair = make_pair();
-  const u8 partial[10] = {};
-  ASSERT_TRUE(pair.client.write_all(partial, sizeof(partial)));
-  pair.client.shutdown_write();
-  EXPECT_EQ(read_msg(pair.server), nullptr);
 }
 
 TEST(FrameReader, EofOnCleanBoundary) {

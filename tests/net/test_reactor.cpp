@@ -22,6 +22,7 @@
 
 #include "engine/peer_link.h"
 #include "../engine/engine_test_util.h"
+#include "net_test_util.h"
 
 namespace iov {
 namespace {
@@ -301,7 +302,7 @@ TEST(ReactorLeak, TwoHundredLinkCyclesLeakNothing) {
     auto client = TcpConn::connect(NodeId::loopback(listener->port()),
                                    seconds(1.0));
     ASSERT_TRUE(client.has_value());
-    ASSERT_TRUE(wait_readable(listener->fd(), seconds(1.0)));
+    ASSERT_TRUE(test::wait_readable(listener->fd(), seconds(1.0)));
     auto server = listener->accept();
     ASSERT_TRUE(server.has_value());
     ASSERT_TRUE(client->set_nonblocking(true));

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "net/framing.h"
+#include "net_test_util.h"
 
 namespace iov {
 namespace {
@@ -26,7 +27,7 @@ Pair make_pair() {
   auto client = TcpConn::connect(NodeId::loopback(listener->port()),
                                  seconds(1.0));
   EXPECT_TRUE(client.has_value());
-  EXPECT_TRUE(wait_readable(listener->fd(), seconds(1.0)));
+  EXPECT_TRUE(test::wait_readable(listener->fd(), seconds(1.0)));
   auto server = listener->accept();
   EXPECT_TRUE(server.has_value());
   EXPECT_TRUE(server->set_nonblocking(false));  // the tests read blocking
@@ -53,7 +54,7 @@ TEST(Socket, AcceptedSocketIsNonBlocking) {
   auto client = TcpConn::connect(NodeId::loopback(listener->port()),
                                  seconds(1.0));
   ASSERT_TRUE(client.has_value());
-  ASSERT_TRUE(wait_readable(listener->fd(), seconds(1.0)));
+  ASSERT_TRUE(test::wait_readable(listener->fd(), seconds(1.0)));
   auto server = listener->accept();
   ASSERT_TRUE(server.has_value());
   u8 byte = 0;
@@ -124,8 +125,8 @@ TEST(Socket, PeerAndLocalAddr) {
 TEST(Framing, HelloRoundTrip) {
   auto pair = make_pair();
   const Hello hello{ConnKind::kPersistent, NodeId::loopback(7777)};
-  ASSERT_TRUE(write_hello(pair.client, hello));
-  const auto got = read_hello(pair.server);
+  ASSERT_TRUE(test::write_hello(pair.client, hello));
+  const auto got = test::read_hello(pair.server);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->kind, ConnKind::kPersistent);
   EXPECT_EQ(got->sender, NodeId::loopback(7777));
@@ -135,15 +136,17 @@ TEST(Framing, HelloRejectsBadMagic) {
   auto pair = make_pair();
   const u8 junk[16] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
   ASSERT_TRUE(pair.client.write_all(junk, sizeof(junk)));
-  EXPECT_FALSE(read_hello(pair.server).has_value());
+  EXPECT_FALSE(test::read_hello(pair.server).has_value());
 }
 
 TEST(Framing, MessageRoundTrip) {
   auto pair = make_pair();
   const NodeId origin = NodeId::loopback(5001);
   const auto m = Msg::data(origin, 9, 77, Buffer::pattern(5000, 77));
-  ASSERT_TRUE(write_msg(pair.client, *m));
-  const MsgPtr got = read_msg(pair.server);
+  ASSERT_TRUE(test::write_frame(pair.client, m));
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
+  const MsgPtr got = reader.next();
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->type(), MsgType::kData);
   EXPECT_EQ(got->origin(), origin);
@@ -155,8 +158,10 @@ TEST(Framing, MessageRoundTrip) {
 TEST(Framing, EmptyPayloadMessage) {
   auto pair = make_pair();
   const auto m = Msg::control(MsgType::kRequest, NodeId::loopback(1), 0);
-  ASSERT_TRUE(write_msg(pair.client, *m));
-  const MsgPtr got = read_msg(pair.server);
+  ASSERT_TRUE(test::write_frame(pair.client, m));
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
+  const MsgPtr got = reader.next();
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->type(), MsgType::kRequest);
 }
@@ -165,29 +170,25 @@ TEST(Framing, BackToBackMessagesStayFramed) {
   auto pair = make_pair();
   for (u32 i = 0; i < 50; ++i) {
     const auto m = Msg::data(NodeId::loopback(1), 1, i, Buffer::pattern(100, i));
-    ASSERT_TRUE(write_msg(pair.client, *m));
+    ASSERT_TRUE(test::write_frame(pair.client, m));
   }
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
   for (u32 i = 0; i < 50; ++i) {
-    const MsgPtr got = read_msg(pair.server);
+    const MsgPtr got = reader.next();
     ASSERT_NE(got, nullptr);
     EXPECT_EQ(got->seq(), i);
     EXPECT_EQ(got->payload()->bytes(), Buffer::pattern(100, i)->bytes());
   }
 }
 
-TEST(Framing, ReadMsgReturnsNullOnEof) {
+TEST(Framing, EofBeforeAnyFrameReadsAsNull) {
   auto pair = make_pair();
   pair.client.shutdown_write();
-  EXPECT_EQ(read_msg(pair.server), nullptr);
-}
-
-TEST(Framing, ReadMsgRejectsCorruptHeader) {
-  auto pair = make_pair();
-  u8 bad[Msg::kHeaderSize] = {};
-  // payload_size field = 0xffffffff, far beyond kMaxPayload.
-  for (int i = 20; i < 24; ++i) bad[i] = 0xff;
-  ASSERT_TRUE(pair.client.write_all(bad, sizeof(bad)));
-  EXPECT_EQ(read_msg(pair.server), nullptr);
+  SlabPool pool;
+  FrameReader reader(pair.server, pool);
+  EXPECT_EQ(reader.next(), nullptr);
+  EXPECT_FALSE(reader.corrupt());
 }
 
 }  // namespace

@@ -160,6 +160,36 @@ TEST(Snapshot, ParseRejectsStructuralGarbage) {
   EXPECT_FALSE(MetricsSnapshot::parse("c:iov_a_total,abc", &out)); // bad value
 }
 
+TEST(Snapshot, ParseRejectsNonFiniteHistogramBound) {
+  // Found by DecoderFuzz.MetricsSnapshot: "6.4e1024" overflows to +inf,
+  // which serialized as the "inf" bucket marker and no longer parsed.
+  MetricsSnapshot snap;
+  EXPECT_FALSE(MetricsSnapshot::parse("h:x,6.4e1024:0/inf:0,0,0", &snap));
+  EXPECT_FALSE(MetricsSnapshot::parse("h:x,-inf:0/inf:0,0,0", &snap));
+  EXPECT_FALSE(MetricsSnapshot::parse("h:x,nan:0/inf:0,0,0", &snap));
+  ASSERT_TRUE(MetricsSnapshot::parse("h:x,1e300:2/inf:0,2,1", &snap));
+  ASSERT_EQ(snap.samples.size(), 1u);
+  EXPECT_EQ(snap.samples[0].hist.bounds, std::vector<double>{1e300});
+}
+
+TEST(Snapshot, ExtremeCounterAndGaugeValuesRoundTrip) {
+  // Found by DecoderFuzz.MetricsSnapshot: these parse into doubles that
+  // round past the integer range, and serialize() cast them unchecked
+  // (undefined; 0 and INT64_MIN on x86-64).
+  const std::string wire =
+      "c:max,18446744073709551615|g:hi,9223372036854775807|"
+      "g:lo,-9223372036854775807";
+  MetricsSnapshot snap;
+  ASSERT_TRUE(MetricsSnapshot::parse(wire, &snap));
+  EXPECT_EQ(snap.serialize(), wire);
+  MetricsSnapshot again;
+  ASSERT_TRUE(MetricsSnapshot::parse(snap.serialize(), &again));
+  ASSERT_EQ(again.samples.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(again.samples[i].value, snap.samples[i].value) << i;
+  }
+}
+
 TEST(Snapshot, AddLabelDoesNotOverwriteExisting) {
   MetricsRegistry reg;
   reg.counter("iov_a_total", {{"node", "self"}}).inc();

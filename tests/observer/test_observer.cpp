@@ -5,8 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+
 #include "apps/sink.h"
 #include "apps/source.h"
+#include "common/strings.h"
 #include "engine/engine.h"
 #include "observer/proxy.h"
 #include "../engine/engine_test_util.h"
@@ -181,6 +187,42 @@ TEST(Observer, TraceRecordsArriveCentrally) {
   const auto traces = obs.traces();
   EXPECT_EQ(traces[0].node, engine.self());
   EXPECT_EQ(traces[0].text, "hello from the node");
+}
+
+TEST(Observer, TraceLogAppendsOneLinePerRecord) {
+  const auto path =
+      std::filesystem::temp_directory_path() /
+      ("iov_observer_trace_test_" + std::to_string(::getpid()) + ".log");
+  {
+    std::ofstream seed(path, std::ios::trunc);
+    seed << "earlier run\n";
+  }
+  ObserverConfig config;
+  config.trace_path = path.string();
+  Observer obs(config);
+  ASSERT_TRUE(obs.start());
+  EngineConfig node_config;
+  node_config.observer = obs.address();
+  Engine engine(node_config, std::make_unique<TracingAlgorithm>());
+  ASSERT_TRUE(engine.start());
+  ASSERT_TRUE(wait_until([&] { return !obs.traces().empty(); }));
+  const TraceRecord record = obs.traces()[0];
+  engine.stop();
+  engine.join();
+  obs.stop();
+
+  // The file keeps what it held and gains one "[<seconds>] <node> <text>"
+  // line per record, written as the record arrives.
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "earlier run");
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, strf("[%12.6f] %s ", to_seconds(record.at),
+                       engine.self().to_string().c_str()) +
+                      "hello from the node");
+  EXPECT_FALSE(std::getline(in, line)) << line;
+  std::filesystem::remove(path);
 }
 
 TEST(Observer, TopologyDotListsEdges) {

@@ -14,6 +14,7 @@
 #include "net/framing.h"
 #include "obs/metric_names.h"
 #include "../engine/engine_test_util.h"
+#include "../net/net_test_util.h"
 
 namespace iov::observer {
 namespace {
@@ -137,12 +138,12 @@ TEST(ObserverMetrics, V1ReportWithoutMetricsStillAccepted) {
   const NodeId self = NodeId::loopback(45678);
   auto conn = TcpConn::connect(obs.address(), seconds(1.0));
   ASSERT_TRUE(conn.has_value());
-  ASSERT_TRUE(write_hello(*conn, Hello{ConnKind::kControl, self}));
+  ASSERT_TRUE(test::write_hello(*conn, Hello{ConnKind::kControl, self}));
   const std::string v1 =
       "node=" + self.to_string() + "\nuptime=7\nup=\ndown=\nsrc=\n"
       "joined=\nalg=old node\n";
-  ASSERT_TRUE(write_msg(
-      *conn, *Msg::text_msg(MsgType::kReport, self, kControlApp, v1)));
+  ASSERT_TRUE(test::write_frame(
+      *conn, Msg::text_msg(MsgType::kReport, self, kControlApp, v1)));
 
   ASSERT_TRUE(wait_until([&] {
     const auto info = obs.node(self);
