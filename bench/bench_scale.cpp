@@ -16,6 +16,9 @@
 //     /proc/self/task/<tid>/status);
 //   * idle CPU per node-second with every link open and the source
 //     withdrawn (paper §2.4: an idle node costs ~0 CPU);
+//   * set-up time: the dial wave, from deploy_source to the last leaf's
+//     first delivery (every link is dialed by the first message that
+//     crosses it), and teardown time: stop() and join() of every node;
 // plus delivery: distinct messages and corruption at the leaf sinks
 // (payload pattern check), so a silently-wedged tree cannot pass.
 //
@@ -34,6 +37,7 @@
 //                 1000-node run)
 #include <dirent.h>
 
+#include <algorithm>
 #include <ctime>
 #include <cstdio>
 #include <cstring>
@@ -226,11 +230,30 @@ int main(int argc, char** argv) {
   for (auto& n : nodes) {
     if (n.sink) n.relay->set_consume(kApp, true);
   }
+  const TimePoint deployed = clock.now();
   nodes[0].engine->deploy_source(kApp);
 
-  // Let the dial wave finish (every link is created by the first
-  // message crossing it), then measure a steady window.
-  sleep_for(seconds(smoke ? 2.0 : 5.0));
+  // The dial wave: every link is created by the first message crossing
+  // it, so it ends with the last leaf's first delivery.
+  const auto last_first_delivery = [&] {
+    TimePoint last = deployed;
+    for (const auto& n : nodes) {
+      if (!n.sink) continue;
+      const TimePoint first = n.sink->stats(clock.now()).first_delivery;
+      if (first < 0) return TimePoint{-1};
+      last = std::max(last, first);
+    }
+    return last;
+  };
+  const Duration settle = seconds(smoke ? 2.0 : 5.0);
+  TimePoint wave_end = last_first_delivery();
+  while (wave_end < 0 && clock.now() - deployed < settle) {
+    sleep_for(millis(1));
+    wave_end = last_first_delivery();
+  }
+  const double setup_s = wave_end < 0 ? -1 : to_seconds(wave_end - deployed);
+  // Then let the tree settle and measure a steady window.
+  sleep_for(std::max<Duration>(deployed + settle - clock.now(), 0));
   u64 d0 = 0;
   for (const auto& n : nodes) {
     if (n.sink) d0 += n.sink->stats(clock.now()).distinct;
@@ -285,8 +308,10 @@ int main(int argc, char** argv) {
   const double idle_us_per_node_s =
       (process_cpu_seconds() - idle_cpu0) * 1e6 / idle_s / nodes_n;
 
+  const TimePoint stopping = clock.now();
   for (auto& n : nodes) n.engine->stop();
   for (auto& n : nodes) n.engine->join();
+  const double teardown_s = to_seconds(clock.now() - stopping);
 
   print_row({"nodes", "links", "threads", "fds", "rss-mb", "leaf-msg/s"},
             12);
@@ -304,6 +329,8 @@ int main(int argc, char** argv) {
       hops / elapsed, cpu_us_per_hop, vcsw_per_hop, ivcsw_per_hop);
   std::printf("idle, links open: %.2f us CPU per node-second\n",
               idle_us_per_node_s);
+  std::printf("set-up (dial wave): %.4f s, teardown (stop+join): %.4f s\n",
+              setup_s, teardown_s);
 
   std::FILE* f = std::fopen(out.c_str(), "w");
   if (f == nullptr) {
@@ -322,6 +349,7 @@ int main(int argc, char** argv) {
                "  \"voluntary_ctx_switches_per_hop_msg\": %.3f,\n"
                "  \"nonvoluntary_ctx_switches_per_hop_msg\": %.3f,\n"
                "  \"idle_cpu_us_per_node_s\": %.2f,\n"
+               "  \"setup_s\": %.4f,\n  \"teardown_s\": %.4f,\n"
                "  \"leaves\": %zu,\n  \"delivered_distinct\": %llu,\n"
                "  \"leaf_msgs_per_sec\": %.2f,\n  \"corrupt\": %llu\n}\n",
                host_fingerprint_json().c_str(), nodes_n, links, kFanout,
@@ -330,7 +358,7 @@ int main(int argc, char** argv) {
                static_cast<double>(fds) / nodes_n, rss,
                static_cast<double>(rss) / nodes_n / 1024.0, hops / elapsed,
                cpu_us_per_hop, vcsw_per_hop, ivcsw_per_hop,
-               idle_us_per_node_s, leaves,
+               idle_us_per_node_s, setup_s, teardown_s, leaves,
                static_cast<unsigned long long>(delivered), leaf_rate,
                static_cast<unsigned long long>(corrupt));
   std::fclose(f);

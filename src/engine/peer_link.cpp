@@ -10,10 +10,6 @@
 namespace iov::engine {
 
 namespace {
-obs::Labels link_labels(const NodeId& peer, const char* dir) {
-  return {{"peer", peer.to_string()}, {"dir", dir}};
-}
-
 /// Bytes one receive pump call delivers before it yields (see pump_recv).
 constexpr std::size_t kRecvBudgetBytes = 256 * 1024;
 
@@ -25,11 +21,29 @@ const std::vector<double>& flush_bounds() {
 }
 }  // namespace
 
+PeerLink::DirLabels::DirLabels(const NodeId& peer, ConnKind kind)
+    : up{{"dir", "up"}}, down{{"dir", "down"}} {
+  if (kind == ConnKind::kControl) return;
+  std::string id = peer.to_string();
+  up.insert(up.begin(), {"peer", id});
+  down.insert(down.begin(), {"peer", std::move(id)});
+}
+
 PeerLink::PeerLink(NodeId self, NodeId peer, TcpConn conn,
                    const EngineConfig& config, BandwidthEmulator& bandwidth,
                    const Clock& clock, LinkOwner& owner,
                    obs::MetricsRegistry& metrics, SlabPool& pool,
                    reactor::Worker& worker, bool dial_pending, ConnKind kind)
+    : PeerLink(self, peer, std::move(conn), config, bandwidth, clock, owner,
+               metrics, pool, worker, dial_pending, kind,
+               DirLabels(peer, kind)) {}
+
+PeerLink::PeerLink(NodeId self, NodeId peer, TcpConn conn,
+                   const EngineConfig& config, BandwidthEmulator& bandwidth,
+                   const Clock& clock, LinkOwner& owner,
+                   obs::MetricsRegistry& metrics, SlabPool& pool,
+                   reactor::Worker& worker, bool dial_pending, ConnKind kind,
+                   const DirLabels& labels)
     : self_(self),
       peer_(peer),
       conn_(std::move(conn)),
@@ -46,44 +60,35 @@ PeerLink::PeerLink(NodeId self, NodeId peer, TcpConn conn,
       recv_buffer_(kind == ConnKind::kControl ? 1 : config.recv_buffer_msgs),
       send_buffer_(kind == ConnKind::kControl ? kControlLinkMsgs
                                               : config.send_buffer_msgs),
-      up_bytes_(metrics.counter(obs::names::kLinkBytesTotal,
-                                link_labels(peer, "up"))),
-      up_msgs_(metrics.counter(obs::names::kLinkMessagesTotal,
-                               link_labels(peer, "up"))),
-      down_bytes_(metrics.counter(obs::names::kLinkBytesTotal,
-                                  link_labels(peer, "down"))),
-      down_msgs_(metrics.counter(obs::names::kLinkMessagesTotal,
-                                 link_labels(peer, "down"))),
+      up_bytes_(metrics.counter(obs::names::kLinkBytesTotal, labels.up)),
+      up_msgs_(metrics.counter(obs::names::kLinkMessagesTotal, labels.up)),
+      down_bytes_(metrics.counter(obs::names::kLinkBytesTotal, labels.down)),
+      down_msgs_(metrics.counter(obs::names::kLinkMessagesTotal, labels.down)),
       down_lost_bytes_(metrics.counter(obs::names::kLinkLostBytesTotal,
-                                       link_labels(peer, "down"))),
+                                       labels.down)),
       down_lost_msgs_(metrics.counter(obs::names::kLinkLostMessagesTotal,
-                                      link_labels(peer, "down"))),
-      recv_depth_(metrics.gauge(obs::names::kLinkQueueDepth,
-                                link_labels(peer, "up"))),
-      send_depth_(metrics.gauge(obs::names::kLinkQueueDepth,
-                                link_labels(peer, "down"))),
+                                      labels.down)),
+      recv_depth_(metrics.gauge(obs::names::kLinkQueueDepth, labels.up)),
+      send_depth_(metrics.gauge(obs::names::kLinkQueueDepth, labels.down)),
       recv_throttle_wait_(metrics.histogram(obs::names::kThrottleWaitSeconds,
-                                            link_labels(peer, "up"))),
+                                            labels.up)),
       send_throttle_wait_(metrics.histogram(obs::names::kThrottleWaitSeconds,
-                                            link_labels(peer, "down"))),
-      up_syscalls_(metrics.counter(obs::names::kLinkSyscallsTotal,
-                                   link_labels(peer, "up"))),
+                                            labels.down)),
+      up_syscalls_(metrics.counter(obs::names::kLinkSyscallsTotal, labels.up)),
       down_syscalls_(metrics.counter(obs::names::kLinkSyscallsTotal,
-                                     link_labels(peer, "down"))),
-      up_flush_msgs_(metrics.histogram(obs::names::kLinkFlushMsgs,
-                                       link_labels(peer, "up"),
+                                     labels.down)),
+      up_flush_msgs_(metrics.histogram(obs::names::kLinkFlushMsgs, labels.up,
                                        flush_bounds())),
       down_flush_msgs_(metrics.histogram(obs::names::kLinkFlushMsgs,
-                                         link_labels(peer, "down"),
-                                         flush_bounds())),
+                                         labels.down, flush_bounds())),
       loop_lag_(metrics.histogram(obs::names::kReactorLoopLagSeconds)),
       loss_rng_((static_cast<u64>(self.ip()) << 32) ^
                 (static_cast<u64>(peer.ip()) << 16) ^ peer.port()),
       reader_(conn_, pool),
       awaiting_first_frame_(dial_pending && kind == ConnKind::kPersistent) {
-  metrics.gauge(obs::names::kLinkQueueCapacity, link_labels(peer, "up"))
+  metrics.gauge(obs::names::kLinkQueueCapacity, labels.up)
       .set(static_cast<i64>(recv_buffer_.capacity()));
-  metrics.gauge(obs::names::kLinkQueueCapacity, link_labels(peer, "down"))
+  metrics.gauge(obs::names::kLinkQueueCapacity, labels.down)
       .set(static_cast<i64>(send_buffer_.capacity()));
 }
 

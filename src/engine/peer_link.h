@@ -102,8 +102,10 @@ class PeerLink final : public reactor::EventHandler {
  public:
   /// Takes ownership of `conn`. `config` supplies the connect timeout and
   /// a persistent link's buffer capacities (read during construction
-  /// only); `metrics`
-  /// must outlive the link. `pool` serves the large-frame payload slabs
+  /// only); `metrics` must outlive the link. A persistent link's meters
+  /// carry `peer` and `dir` labels; a control link's carry `dir` only, so
+  /// the observer's or proxy's private registry holds one set of control
+  /// series however many nodes connect. `pool` serves the large-frame payload slabs
   /// and must outlive the link (the engine owns both). `worker` drives
   /// the link for its whole life and must be the calling thread.
   /// `dial_pending` means `conn` came from TcpConn::connect_start and the
@@ -266,6 +268,19 @@ class PeerLink final : public reactor::EventHandler {
   BoundedQueue<MsgPtr> send_buffer_;
   ThroughputMeter up_meter_;    // bytes received from peer
   ThroughputMeter down_meter_;  // bytes sent to peer
+
+  /// The "up" and "down" label sets of the link's meters.
+  struct DirLabels {
+    DirLabels(const NodeId& peer, ConnKind kind);
+    obs::Labels up;
+    obs::Labels down;
+  };
+  // Builds the label sets once, then registers every meter under them.
+  PeerLink(NodeId self, NodeId peer, TcpConn conn, const EngineConfig& config,
+           BandwidthEmulator& bandwidth, const Clock& clock, LinkOwner& owner,
+           obs::MetricsRegistry& metrics, SlabPool& pool,
+           reactor::Worker& worker, bool dial_pending, ConnKind kind,
+           const DirLabels& labels);
 
   // Cached registry handles; `dir` is "up" for peer→us traffic, "down"
   // for us→peer (paper Fig. 4).

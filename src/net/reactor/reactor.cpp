@@ -135,29 +135,11 @@ void Worker::del_fd(int fd) {
 
 void Worker::schedule_after(Duration delay, void* owner,
                             std::function<void()> fn, obs::Histogram* lag) {
-  Timer t;
-  t.due = RealClock::instance().now() + std::max<Duration>(delay, 0);
-  t.seq = ++timer_seq_;
-  t.owner = owner;
-  t.fn = std::move(fn);
-  t.lag = lag;
-  timers_.push(std::move(t));
+  timers_.push(RealClock::instance().now() + std::max<Duration>(delay, 0),
+               owner, std::move(fn), lag);
 }
 
-void Worker::cancel_timers(void* owner) {
-  if (timers_.empty()) return;
-  // priority_queue has no erase; rebuild without `owner`'s entries. Timer
-  // populations are small (one pacing/connect timer per parked link).
-  std::vector<Timer> keep;
-  keep.reserve(timers_.size());
-  while (!timers_.empty()) {
-    // NOLINTNEXTLINE(cppcoreguidelines-pro-type-const-cast): pop-by-move
-    Timer t = std::move(const_cast<Timer&>(timers_.top()));
-    timers_.pop();
-    if (t.owner != owner) keep.push_back(std::move(t));
-  }
-  for (auto& t : keep) timers_.push(std::move(t));
-}
+void Worker::cancel_timers(void* owner) { timers_.cancel(owner); }
 
 void Worker::defer(void* owner, std::function<void()> fn) {
   deferred_.push_back(Deferred{owner, std::move(fn)});
@@ -183,10 +165,11 @@ bool Worker::on_worker_thread() const {
   return std::this_thread::get_id() == thread_.get_id();
 }
 
-Duration Worker::next_timeout() const {
+Duration Worker::next_timeout() {
   if (!deferred_.empty()) return 0;
-  if (timers_.empty()) return kIdleTimeout;
-  const Duration until = timers_.top().due - RealClock::instance().now();
+  const std::optional<TimePoint> due = timers_.next_due();
+  if (!due) return kIdleTimeout;
+  const Duration until = *due - RealClock::instance().now();
   return std::clamp<Duration>(until, 0, kIdleTimeout);
 }
 
@@ -202,10 +185,8 @@ void Worker::run_tasks() {
 
 void Worker::fire_timers() {
   const TimePoint now = RealClock::instance().now();
-  while (!timers_.empty() && timers_.top().due <= now) {
-    // NOLINTNEXTLINE(cppcoreguidelines-pro-type-const-cast): pop-by-move
-    Timer t = std::move(const_cast<Timer&>(timers_.top()));
-    timers_.pop();
+  TimerQueue::Timer t;
+  while (timers_.pop_due(now, t)) {
     if (t.lag != nullptr) t.lag->observe_duration(now - t.due);
     t.fn();
   }

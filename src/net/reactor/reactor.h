@@ -13,6 +13,11 @@
 //   * Each Worker owns one epoll instance, one wake eventfd, a FIFO task
 //     queue, a timer heap and a deferred-call list, all serviced by a
 //     single thread.
+//   * Timers cost O(log n) to schedule and fire and O(1) amortized to
+//     cancel by owner (TimerQueue), so per-link set-up and teardown do
+//     not grow with the number of timers on the worker. A cancelled
+//     callable is destroyed late, when its dead entry is dropped: timer
+//     callables capture `this` or raw pointers, never own a resource.
 //   * A handler (fd registration, timers, state) belongs to exactly ONE
 //     worker; every callback for it runs on that worker's thread, so
 //     handler state needs no locking.
@@ -41,12 +46,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
+#include "net/reactor/timer_queue.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 
@@ -92,10 +97,16 @@ class Worker {
   void del_fd(int fd);
 
   /// Runs `fn` on this worker after `delay`. `owner` keys cancellation;
-  /// `lag`, when non-null, receives the due→run delay.
+  /// `lag`, when non-null, receives the due→run delay. O(log timers).
+  /// `fn` must own no resource: it captures `this` or raw pointers, since
+  /// a cancelled `fn` is destroyed late (see cancel_timers).
   void schedule_after(Duration delay, void* owner, std::function<void()> fn,
                       obs::Histogram* lag = nullptr);
-  /// Drops every pending timer scheduled under `owner`.
+  /// Drops every pending timer scheduled under `owner`: none of them runs,
+  /// while timers scheduled under `owner` afterwards do. O(1) amortized
+  /// (TimerQueue): the entries stay in the heap as dead ones, and their
+  /// callables are destroyed when they reach the top or a sweep removes
+  /// them, not here.
   void cancel_timers(void* owner);
 
   /// Runs `fn` on this worker at the end of the current loop iteration,
@@ -115,17 +126,6 @@ class Worker {
   bool on_worker_thread() const;
 
  private:
-  struct Timer {
-    TimePoint due = 0;
-    u64 seq = 0;
-    void* owner = nullptr;
-    std::function<void()> fn;
-    obs::Histogram* lag = nullptr;
-    bool operator>(const Timer& o) const {
-      return due != o.due ? due > o.due : seq > o.seq;
-    }
-  };
-
   struct Deferred {
     void* owner = nullptr;
     std::function<void()> fn;
@@ -133,7 +133,7 @@ class Worker {
 
   void loop();
   void wake();
-  Duration next_timeout() const;
+  Duration next_timeout();
   void run_tasks();
   void fire_timers();
   void run_deferred();
@@ -150,8 +150,7 @@ class Worker {
 
   // Worker-thread-only state.
   std::unordered_map<int, EventHandler*> handlers_;
-  std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> timers_;
-  u64 timer_seq_ = 0;
+  TimerQueue timers_;
   std::vector<Deferred> deferred_;   ///< waiting for the next deferred pass
   std::vector<Deferred> deferring_;  ///< the round being run
   std::size_t deferring_idx_ = 0;    ///< next entry of deferring_ to run

@@ -122,6 +122,13 @@ class Observer final : public engine::LinkOwner, private AcceptOwner {
   /// The observer's own registry (report/trace/boot counts, report RTT).
   obs::MetricsRegistry& metrics() { return metrics_; }
 
+  /// Series in the node links' private registry, which is never exported.
+  /// Control links register without a peer label, so this stays one set
+  /// however many distinct nodes have connected.
+  std::size_t link_series() const {
+    return link_metrics_.snapshot().samples.size();
+  }
+
   // --- Control panel (thread safe) ---------------------------------------------
 
   /// Queues an arbitrary control message to `node`. Returns false if the

@@ -115,6 +115,30 @@ TEST(ObserverMetrics, TwoNodeOverlayDeliversMetricsToObserver) {
   ASSERT_TRUE(obs.terminate_source(a.engine->self(), kApp));
 }
 
+TEST(ObserverMetrics, LinkSeriesDoNotGrowWithDistinctNodes) {
+  Observer obs(ObserverConfig{});
+  ASSERT_TRUE(obs.start());
+  std::vector<TcpConn> conns;
+  std::size_t first = 0;
+  for (u16 i = 0; i < 200; ++i) {
+    const NodeId node = NodeId::loopback(static_cast<u16>(30000 + i));
+    auto conn = TcpConn::connect(obs.address(), seconds(5.0));
+    ASSERT_TRUE(conn.has_value()) << "node " << i;
+    ASSERT_TRUE(test::write_hello(*conn, Hello{ConnKind::kControl, node}));
+    ASSERT_TRUE(test::write_frame(
+        *conn, Msg::control(MsgType::kBoot, node, kControlApp)));
+    conns.push_back(std::move(*conn));
+    ASSERT_TRUE(wait_until([&] { return obs.node(node).has_value(); }))
+        << "node " << i << " never booted";
+    if (i == 0) {
+      first = obs.link_series();
+      EXPECT_GT(first, 0u);
+    } else {
+      ASSERT_EQ(obs.link_series(), first) << "after node " << i;
+    }
+  }
+}
+
 TEST(ObserverMetrics, RequestReportClosesRttHistogram) {
   Observer obs(ObserverConfig{});
   ASSERT_TRUE(obs.start());
